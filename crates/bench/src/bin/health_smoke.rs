@@ -20,12 +20,11 @@
 //!    one proxy-side hop under it).
 //!
 //! Exits nonzero on the first violated assertion; CI runs this next to
-//! the metrics smoke. Usage: `health_smoke [--io-mode reactor]`.
+//! the metrics smoke. Usage: `health_smoke`.
 
 use baps_obs::{prom, span};
 use baps_proxy::{
-    response_code, DocumentStore, FaultConfig, FaultPlan, HealthReport, IoMode, TestBed,
-    TestBedConfig,
+    response_code, DocumentStore, FaultConfig, FaultPlan, HealthReport, TestBed, TestBedConfig,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,23 +41,12 @@ fn fail(what: &str) -> ! {
 }
 
 fn main() {
-    let mut io_mode = IoMode::Threads;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--io-mode" => {
-                io_mode = match args.next().as_deref() {
-                    Some("threads") => IoMode::Threads,
-                    Some("reactor") => IoMode::Reactor,
-                    other => fail(&format!("bad --io-mode {other:?}")),
-                }
-            }
-            "--help" | "-h" => {
-                println!("usage: health_smoke [--io-mode threads|reactor]");
-                return;
-            }
-            other => fail(&format!("unknown argument {other:?}")),
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg != "--help" && arg != "-h" {
+            fail(&format!("unknown argument {arg:?}"));
         }
+        println!("usage: health_smoke");
+        return;
     }
 
     // Every origin reply stalls 15 ms mid-frame: decisively past the
@@ -78,7 +66,6 @@ fn main() {
         store,
         TestBedConfig {
             n_clients: 2,
-            io_mode,
             fault_plan: Some(faults),
             ..TestBedConfig::default()
         },
@@ -86,7 +73,7 @@ fn main() {
     .unwrap_or_else(|e| fail(&format!("test bed failed to start: {e}")));
     println!(
         "# health_smoke: io_mode={} load={LOAD_REQUESTS}+{BETWEEN_REQUESTS} requests",
-        bed.proxy.io_mode().name()
+        baps_proxy::IO_MODEL
     );
 
     for i in 0..LOAD_REQUESTS {
@@ -213,7 +200,7 @@ fn main() {
 
     println!(
         "PASS: health_smoke io_mode={} rules={} verdict={} exemplars_resolved={}",
-        bed.proxy.io_mode().name(),
+        baps_proxy::IO_MODEL,
         second.rules.len(),
         second.verdict.name(),
         exemplar_traces.len()

@@ -145,12 +145,15 @@ pub enum SloSignal {
     OriginFallbackRate,
     /// p999 of client-facing GET latency, milliseconds (all tiers merged).
     RequestP999Ms,
-    /// p99 of accept-backlog / miss-executor queue wait, milliseconds.
+    /// p99 of the wait from `accept` to a connection's first service by a
+    /// worker, milliseconds (DESIGN.md §13).
     QueueWaitP99Ms,
     /// Flight-recorder events shed per second (ring contention).
     RecorderShedPerSec,
-    /// Instantaneous gauge: deepest `epoll_wait` ready batch since start
-    /// (0 in `Threads` mode, where no reactor exists).
+    /// Instantaneous gauge: most ready connections claimed from the epoll
+    /// set at once since start, i.e. the peak of workers busy serving one
+    /// (DESIGN.md §13). Once it equals the worker count, further ready
+    /// connections wait in the kernel's ready list.
     ReactorReadyDepth,
 }
 
@@ -370,7 +373,7 @@ pub struct HealthReport {
     pub verdict: Verdict,
     /// Seconds since this proxy incarnation started.
     pub uptime_secs: u64,
-    /// Serving mode (`threads` or `reactor`).
+    /// Serving model ([`crate::IO_MODEL`]).
     pub io_mode: String,
     /// Rolling rates for each of [`REPORT_WINDOWS`].
     pub windows: Vec<WindowRates>,
@@ -601,7 +604,7 @@ pub(crate) fn evaluate(state: &ProxyState) -> HealthReport {
     HealthReport {
         verdict: worst,
         uptime_secs: state.windows.uptime_secs(),
-        io_mode: state.config.io_mode.name().to_string(),
+        io_mode: crate::reactor::IO_MODEL.to_string(),
         windows,
         rules,
     }
@@ -612,12 +615,8 @@ pub(crate) fn evaluate(state: &ProxyState) -> HealthReport {
 /// span — "no data" is not an alert.
 fn measure(state: &ProxyState, rule: &SloRule) -> (f64, u64) {
     if rule.signal == SloSignal::ReactorReadyDepth {
-        let depth = state
-            .reactor
-            .as_ref()
-            .map(|r| r.snapshot().ready_batch_peak as f64)
-            .unwrap_or(0.0);
-        return (depth, 0);
+        let depth = state.telemetry.snapshot().busy_workers_peak;
+        return (depth as f64, 0);
     }
     let Some(w) = state.windows.ring().window(rule.window_secs) else {
         return (0.0, 0);
@@ -674,7 +673,7 @@ mod tests {
         HealthReport {
             verdict: Verdict::Warn,
             uptime_secs: 42,
-            io_mode: "threads".to_string(),
+            io_mode: crate::IO_MODEL.to_string(),
             windows: vec![WindowRates {
                 window_secs: 10,
                 span_secs: 10,
@@ -721,7 +720,7 @@ mod tests {
         let parsed = HealthReport::parse(&report.render()).expect("parses");
         assert_eq!(parsed.verdict, Verdict::Warn);
         assert_eq!(parsed.uptime_secs, 42);
-        assert_eq!(parsed.io_mode, "threads");
+        assert_eq!(parsed.io_mode, crate::IO_MODEL);
         assert_eq!(parsed.windows.len(), 1);
         assert_eq!(parsed.windows[0].requests, 1000);
         assert!((parsed.windows[0].p999_ms - 80.25).abs() < 1e-9);

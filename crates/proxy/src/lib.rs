@@ -47,9 +47,12 @@ pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
 pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
 pub use pool::{dial_with_deadline, ConnRegistry, PoolTelemetry, SaturationSnapshot, WorkerPool};
-pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
-pub use proxy::{IoMode, ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
-pub use reactor::{ReactorSnapshot, ReactorTelemetry};
+pub use protocol::{
+    encode_message, read_message, response_code, write_message, Body, FrameParser, Message,
+};
+pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
+pub use reactor::{ReactorSnapshot, ACCEPT_BACKOFF, IO_MODEL};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};
 pub use store::{BodyCache, CachedDoc, DocumentStore};
+pub use sys::{open_files_limit, set_open_files_limit};

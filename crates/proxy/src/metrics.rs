@@ -14,6 +14,7 @@
 //! reset to zero (DESIGN.md §10).
 
 use crate::proxy::ProxyState;
+use crate::reactor::IO_MODEL;
 use baps_obs::prom::PromText;
 
 /// Renders the full exposition for `state`.
@@ -33,7 +34,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "baps_build_info",
         &[
             ("version", env!("CARGO_PKG_VERSION")),
-            ("io_mode", state.config.io_mode.name()),
+            ("io_mode", IO_MODEL),
         ],
         1.0,
     );
@@ -98,6 +99,11 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "baps_coalesced_fetches_total",
         "Misses coalesced onto another request's in-flight fetch.",
         s.coalesced_fetches,
+    );
+    out.counter(
+        "baps_accept_errors_total",
+        "accept() calls that failed; each is followed by a short backoff.",
+        s.accept_errors,
     );
 
     // Proxy cache: aggregate occupancy plus hit/eviction counters from the
@@ -247,9 +253,9 @@ pub(crate) fn render(state: &ProxyState) -> String {
         state.obs.recorder.dropped(),
     );
 
-    // Runtime saturation: how busy the worker pool runs and how long
-    // connections wait in the accept backlog — the measured evidence for
-    // or against the thread-per-connection architecture.
+    // Serving workers (DESIGN.md §13): how many there are, how many are
+    // inside a claimed connection, and how long a new connection waits
+    // from accept to its first service.
     let sat = state.telemetry.snapshot();
     out.gauge(
         "baps_workers",
@@ -258,7 +264,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.gauge(
         "baps_workers_busy",
-        "Workers currently serving a connection.",
+        "Workers currently serving a claimed connection.",
         sat.busy_workers as f64,
     );
     out.gauge(
@@ -268,17 +274,17 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.gauge(
         "baps_queue_depth",
-        "Connections currently parked in the accept backlog.",
+        "Connections accepted but not yet served a first time.",
         sat.queue_depth as f64,
     );
     out.gauge(
         "baps_queue_depth_peak",
-        "Deepest the accept backlog has been since start.",
+        "Most connections awaiting a first service at once since start.",
         sat.queue_depth_peak as f64,
     );
     out.counter(
         "baps_queue_rejected_total",
-        "Connections dropped because the accept backlog was full.",
+        "Accepted connections that could not be registered with epoll.",
         sat.rejected,
     );
     out.gauge(
@@ -289,63 +295,41 @@ pub(crate) fn render(state: &ProxyState) -> String {
     out.header(
         "baps_queue_wait_ms",
         "histogram",
-        "Time connections spent in the accept backlog, milliseconds.",
+        "Time from accept to a connection's first service, milliseconds.",
     );
     out.histogram("baps_queue_wait_ms", &[], &sat.queue_wait);
 
-    // Reactor saturation (io_mode=reactor only): the event-driven
-    // equivalents of the pool gauges above — registered connections
-    // instead of parked threads, loop busy-fraction instead of busy
-    // workers. In this mode the `baps_workers*`/`baps_queue_*` series
-    // describe the blocking miss executor.
-    if let Some(reactor) = &state.reactor {
-        let r = reactor.snapshot();
-        out.gauge(
-            "baps_reactor_loops",
-            "Event loops serving client connections.",
-            r.loops as f64,
-        );
-        out.gauge(
-            "baps_reactor_registered_fds",
-            "Connections currently registered with the event loops.",
-            r.registered_fds as f64,
-        );
-        out.gauge(
-            "baps_reactor_registered_fds_peak",
-            "Most connections simultaneously registered since start.",
-            r.registered_fds_peak as f64,
-        );
-        out.gauge(
-            "baps_reactor_ready_batch_peak",
-            "Most ready events one epoll_wait returned at once.",
-            r.ready_batch_peak as f64,
-        );
-        out.counter(
-            "baps_reactor_ready_events_total",
-            "Readiness events delivered to the event loops.",
-            r.ready_events,
-        );
-        out.counter(
-            "baps_reactor_wakeups_total",
-            "Eventfd wakeups (new connections and miss completions).",
-            r.wakeups,
-        );
-        out.counter(
-            "baps_reactor_inline_dispatch_total",
-            "Requests answered inline on an event loop.",
-            r.inline_served,
-        );
-        out.counter(
-            "baps_reactor_offloaded_dispatch_total",
-            "Requests handed to the blocking miss executor.",
-            r.offloaded,
-        );
-        out.gauge(
-            "baps_reactor_busy_fraction",
-            "Fraction of wall time the loops spent processing events.",
-            r.busy_fraction,
-        );
-    }
+    let r = crate::reactor::snapshot(state);
+    out.gauge(
+        "baps_reactor_registered_fds",
+        "Connections currently registered in the epoll set.",
+        r.registered_fds as f64,
+    );
+    out.gauge(
+        "baps_reactor_registered_fds_peak",
+        "Most connections simultaneously registered since start.",
+        r.registered_fds_peak as f64,
+    );
+    out.counter(
+        "baps_reactor_ready_events_total",
+        "Readiness events claimed by serving workers.",
+        r.ready_events,
+    );
+    out.counter(
+        "baps_reactor_inline_dispatch_total",
+        "Requests answered from memory or by an administrative verb.",
+        r.inline_served,
+    );
+    out.counter(
+        "baps_reactor_offloaded_dispatch_total",
+        "Requests answered from disk, a peer or the origin.",
+        r.offloaded,
+    );
+    out.gauge(
+        "baps_reactor_busy_fraction",
+        "Fraction of wall time the workers spent serving connections.",
+        r.busy_fraction,
+    );
 
     // Latency histograms: answered GETs by serve tier (tail buckets
     // annotated with OpenMetrics-style exemplar trace ids, resolvable

@@ -1,5 +1,6 @@
-//! Bounded connection-serving infrastructure shared by the proxy, origin,
-//! and client peer servers.
+//! Bounded connection-serving infrastructure of the origin and client peer
+//! servers, plus the saturation telemetry the proxy's epoll workers reuse
+//! (DESIGN.md §13).
 //!
 //! The seed runtime spawned one detached `std::thread` per accepted TCP
 //! connection: under a connection flood that exhausts OS threads, and the
@@ -109,16 +110,14 @@ impl ConnRegistry {
     }
 }
 
-/// Runtime-saturation telemetry for one [`WorkerPool`]: how deep the
-/// accept backlog runs, how long connections sit in it before a worker
-/// picks them up, and how many workers are busy — the measured evidence
-/// for (or against) the thread-per-connection architecture (ROADMAP
-/// item 1: queue delay vs service time decides the event-driven reactor).
+/// Runtime-saturation telemetry for one [`WorkerPool`] or the proxy's
+/// epoll workers: how many connections wait for a first service, how long
+/// they wait, and how many workers are busy.
 ///
 /// All fields are plain atomics recorded unconditionally: saturation data
-/// must exist even when the overhead benchmark turns event recording off,
-/// and a handful of relaxed atomic ops per *connection* (not per request)
-/// is far below the always-on budget.
+/// must exist even when the overhead benchmark turns event recording off.
+/// A handful of relaxed atomic ops per connection (pool) or per claimed
+/// event (epoll workers) stays inside the always-on budget.
 #[derive(Debug, Default)]
 pub struct PoolTelemetry {
     workers: AtomicU64,
@@ -164,9 +163,8 @@ impl PoolTelemetry {
     }
 
     /// Records the configured worker count. `WorkerPool::start_with` calls
-    /// this itself; the reactor's miss executor (which reuses this
-    /// telemetry for its own queue/busy gauges, see DESIGN.md §13) calls
-    /// it directly.
+    /// this itself; the proxy's epoll workers (which reuse this telemetry,
+    /// see DESIGN.md §13) call it directly.
     pub(crate) fn set_workers(&self, n: u64) {
         self.workers.store(n, Ordering::Relaxed);
     }
@@ -179,6 +177,11 @@ impl PoolTelemetry {
     pub(crate) fn enqueue_failed(&self) {
         self.queued.fetch_sub(1, Ordering::Relaxed);
         self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A queued connection left without ever being served.
+    pub(crate) fn abandoned(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn dequeued(&self, wait: Duration) {

@@ -67,9 +67,11 @@
 //! treat as the end of the session. Clients hold one lazily-dialed
 //! connection to the proxy and transparently redial (replaying the
 //! in-flight request once) when the proxy drops it; the proxy keeps a pool
-//! of kept-alive origin connections the same way. Servers run a fixed
-//! worker pool, so each open connection occupies one worker until it
-//! closes (see [`crate::pool`]).
+//! of kept-alive origin connections the same way. The origin and client
+//! peer servers run a fixed worker pool, so each open connection occupies
+//! one worker until it closes (see [`crate::pool`]); the proxy parks idle
+//! connections in epoll instead and feeds a [`FrameParser`] per
+//! connection (DESIGN.md §13).
 //!
 //! [`ProxyCounters`]: crate::proxy::ProxyCounters
 
@@ -77,7 +79,7 @@ use std::io::{self, BufRead, IoSlice, Write};
 use std::sync::Arc;
 
 /// Maximum accepted header count (straightforward DoS hygiene).
-pub(crate) const MAX_HEADERS: usize = 64;
+pub const MAX_HEADERS: usize = 64;
 /// Maximum accepted body size.
 pub const MAX_BODY: usize = 64 << 20;
 
@@ -232,62 +234,217 @@ pub(crate) fn encode_head(msg: &Message) -> io::Result<String> {
     Ok(head)
 }
 
+/// Cap on the head (start line plus headers) of one frame. A peer that
+/// never ends its head gets `InvalidData` here instead of unbounded
+/// buffering; legitimate heads are a few hundred bytes.
+pub const MAX_HEAD_BYTES: usize = 1 << 20;
+
+enum ParseState {
+    Start,
+    Headers,
+    /// Head done; the body is this many bytes.
+    Body(usize),
+}
+
+/// The frame parser: a resumable, sans-I/O decoder. Feed it raw bytes with
+/// [`push`](Self::push) and pull complete frames with
+/// [`next_frame`](Self::next_frame). The proxy's serving workers feed it from
+/// nonblocking sockets; [`read_message`] is a thin blocking loop over it.
+pub struct FrameParser {
+    buf: Vec<u8>,
+    /// Parse cursor into `buf`; everything before it has been consumed.
+    pos: usize,
+    /// Head bytes of the frame in progress consumed so far.
+    head_bytes: usize,
+    /// Bytes after `pos` already searched for a line end, so a head that
+    /// dribbles in is scanned once, not once per push.
+    scanned: usize,
+    state: ParseState,
+    start: String,
+    headers: Vec<(String, String)>,
+}
+
+impl Default for FrameParser {
+    fn default() -> Self {
+        FrameParser::new()
+    }
+}
+
+impl FrameParser {
+    /// A parser at a frame boundary with nothing buffered.
+    pub fn new() -> FrameParser {
+        FrameParser {
+            buf: Vec::new(),
+            pos: 0,
+            head_bytes: 0,
+            scanned: 0,
+            state: ParseState::Start,
+            start: String::new(),
+            headers: Vec::new(),
+        }
+    }
+
+    /// Appends freshly read bytes.
+    pub fn push(&mut self, data: &[u8]) {
+        // Compact once the consumed prefix is at least half the buffer:
+        // amortized O(1) per byte however many frames one push carries.
+        if self.pos > 0 && self.pos * 2 >= self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(data);
+    }
+
+    /// Whether the parser sits at a frame boundary with nothing buffered,
+    /// i.e. whether EOF here is a clean close.
+    pub fn is_idle(&self) -> bool {
+        matches!(self.state, ParseState::Start) && self.pos == self.buf.len()
+    }
+
+    /// Returns the next complete frame, `Ok(None)` if more bytes are
+    /// needed, or `InvalidData` for a malformed or oversized frame.
+    pub fn next_frame(&mut self) -> io::Result<Option<Message>> {
+        let Some(len) = self.parse_head()? else {
+            return Ok(None);
+        };
+        if self.buf.len() - self.pos < len {
+            return Ok(None);
+        }
+        let body: Body = Arc::from(&self.buf[self.pos..self.pos + len]);
+        self.pos += len;
+        if self.pos == self.buf.len() {
+            self.pos = 0;
+            self.buf.clear();
+            // Do not pin a large body's allocation on an idle connection.
+            if self.buf.capacity() > 64 << 10 {
+                self.buf = Vec::new();
+            }
+        }
+        Ok(Some(self.finish(body)))
+    }
+
+    /// Advances through the head; `Some(body_len)` once it is complete.
+    fn parse_head(&mut self) -> io::Result<Option<usize>> {
+        loop {
+            let at_start = match self.state {
+                ParseState::Body(len) => return Ok(Some(len)),
+                ParseState::Start => true,
+                ParseState::Headers => false,
+            };
+            let Some(end) = self.next_line()? else {
+                return Ok(None);
+            };
+            let line = std::str::from_utf8(&self.buf[self.pos..end])
+                .map_err(|_| invalid("stream did not contain valid UTF-8"))?
+                .trim_end();
+            if at_start {
+                if line.is_empty() {
+                    return Err(invalid("empty start line"));
+                }
+                self.start = line.to_owned();
+                self.state = ParseState::Headers;
+            } else if line.is_empty() {
+                self.state = ParseState::Body(content_length(&self.headers)?);
+            } else {
+                if self.headers.len() >= MAX_HEADERS {
+                    return Err(invalid("too many headers"));
+                }
+                let (name, value) = line
+                    .split_once(':')
+                    .ok_or_else(|| invalid(&format!("bad header: {line}")))?;
+                self.headers
+                    .push((name.trim().to_owned(), value.trim().to_owned()));
+            }
+            self.pos = end + 1;
+        }
+    }
+
+    /// End (index of the `\n`) of the next buffered head line, or `None`
+    /// if the line is still incomplete. Enforces [`MAX_HEAD_BYTES`].
+    fn next_line(&mut self) -> io::Result<Option<usize>> {
+        let pending = &self.buf[self.pos..];
+        let found = pending[self.scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|i| self.scanned + i);
+        let used = self.head_bytes + found.map_or(pending.len(), |i| i + 1);
+        if used > MAX_HEAD_BYTES {
+            return Err(invalid("frame head too large"));
+        }
+        self.scanned = if found.is_some() { 0 } else { pending.len() };
+        Ok(found.map(|i| {
+            self.head_bytes = used;
+            self.pos + i
+        }))
+    }
+
+    /// Completes the frame whose head was parsed, resetting for the next.
+    fn finish(&mut self, body: Body) -> Message {
+        self.state = ParseState::Start;
+        self.head_bytes = 0;
+        Message {
+            start: std::mem::take(&mut self.start),
+            headers: std::mem::take(&mut self.headers),
+            body,
+        }
+    }
+}
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
+}
+
+/// `Content-Length` of a completed head (first case-insensitive match,
+/// like [`Message::get`]); zero if absent.
+fn content_length(headers: &[(String, String)]) -> io::Result<usize> {
+    let Some((_, value)) = headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case("Content-Length"))
+    else {
+        return Ok(0);
+    };
+    let len: usize = value
+        .parse()
+        .map_err(|e| invalid(&format!("bad length: {e}")))?;
+    if len > MAX_BODY {
+        return Err(invalid("body too large"));
+    }
+    Ok(len)
+}
+
 /// Reads one message; returns `None` on a cleanly closed connection.
+///
+/// A blocking loop over [`FrameParser`]: the head is fed one line at a
+/// time, so the reader never consumes bytes past the blank line, then the
+/// body arrives in one bulk `read_exact` straight into its allocation.
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
-    let mut start = String::new();
-    if r.read_line(&mut start)? == 0 {
-        return Ok(None);
-    }
-    let start = start.trim_end().to_owned();
-    if start.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "empty start line",
-        ));
-    }
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+    let mut parser = FrameParser::new();
+    let len = loop {
+        if let Some(len) = parser.parse_head()? {
+            break len;
+        }
+        let avail = r.fill_buf()?;
+        if avail.is_empty() {
+            if parser.is_idle() {
+                return Ok(None);
+            }
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "eof inside headers",
             ));
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {line}"))
-        })?;
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
-    }
-    let mut msg = Message {
-        start,
-        headers,
-        body: empty_body(),
+        let n = avail
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(avail.len(), |i| i + 1);
+        parser.push(&avail[..n]);
+        r.consume(n);
     };
-    if let Some(len) = msg.get("Content-Length") {
-        let len: usize = len
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}")))?;
-        if len > MAX_BODY {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-        }
-        // The one unavoidable copy: socket bytes into a fresh allocation,
-        // immediately frozen into a shared `Body`.
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        msg.body = body.into();
-    }
-    Ok(Some(msg))
+    // The one unavoidable copy: socket bytes into a fresh allocation,
+    // immediately frozen into a shared `Body`.
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body)?;
+    Ok(Some(parser.finish(body.into())))
 }
 
 /// Response codes used by the protocol.
@@ -394,6 +551,21 @@ mod tests {
         let raw = b"GET x BAPS/1.0\r\nClient: 1\r\n".to_vec();
         let err = read_message(&mut BufReader::new(Cursor::new(raw))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// An unterminated head longer than the cap is refused at the cap, not
+    /// buffered to EOF (a hostile peer answering `PEERGET` must not grow
+    /// the proxy's memory without bound).
+    #[test]
+    fn unterminated_head_is_refused_at_the_cap() {
+        let mut r = BufReader::new(Cursor::new(vec![b'a'; 4 * MAX_HEAD_BYTES]));
+        let err = read_message(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let consumed = r.into_inner().position() as usize;
+        assert!(
+            consumed <= MAX_HEAD_BYTES + (64 << 10),
+            "read {consumed} bytes before refusing"
+        );
     }
 
     #[test]

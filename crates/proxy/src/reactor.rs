@@ -1,219 +1,519 @@
-//! Event-driven connection serving for the proxy (`io_mode = Reactor`).
+//! The proxy's one connection-serving model (DESIGN.md §13): a fixed pool
+//! of workers that wait in epoll.
 //!
-//! The thread-per-connection pool (`pool.rs`) parks one OS thread per open
-//! keep-alive connection, which caps the proxy at a few dozen sockets —
-//! nowhere near the many-mostly-idle-browsers deployment the paper
-//! describes. This module multiplexes every client connection onto a small
-//! set of event loops instead (DESIGN.md §13):
+//! - The **acceptor** thread blocks in `accept`, makes each socket
+//!   nonblocking and registers it in one shared epoll set with
+//!   `EPOLLONESHOT`. A failed `accept` (say, fd exhaustion) is counted in
+//!   `accept_errors` and followed by a short fixed backoff, never a spin.
+//! - `worker_threads` **workers** block in `epoll_wait`, one event at a
+//!   time. One-shot arming means exactly one worker claims a ready
+//!   connection. It reads without blocking into the connection's
+//!   [`FrameParser`] and serves each complete frame itself through the
+//!   unchanged `dispatch`: a memory hit and a disk, peer or origin miss
+//!   alike, with no hand-off to another thread.
+//! - Replies are queued as `[owned head, shared body]` segments and pushed
+//!   with nonblocking vectored writes. A reply the socket cannot take at
+//!   once parks the connection on `EV_WRITE`. No further frame is parsed
+//!   or read while replies are queued, so a client that pipelines without
+//!   reading is throttled by its own socket buffers.
+//! - On would-block the worker re-arms the connection and goes back to
+//!   waiting. An idle or dribbling connection costs an fd and a parser
+//!   buffer, not a thread.
 //!
-//! - an **accept loop** (unchanged, still blocking) hands accepted sockets
-//!   round-robin to per-core event loops through a mutex-protected inbox,
-//!   waking the loop via an eventfd;
-//! - each **event loop** owns an epoll instance and a set of per-connection
-//!   state machines that carry partial reads and partial writes of BAPS
-//!   frames across readiness events — an idle connection costs one
-//!   registered fd and a parser buffer, not a parked thread;
-//! - a complete frame is dispatched through the *unchanged* request logic
-//!   (`proxy::dispatch`): inline on the loop when the answer cannot block
-//!   (memory-cache hits, admin verbs), or on a small blocking **miss
-//!   executor** when it can (disk, peer probes, origin fetches, coalesced
-//!   followers parking on a condvar);
-//! - replies are queued as `[owned head, shared body]` segments and pushed
-//!   with nonblocking vectored writes, continuing from the exact byte where
-//!   the kernel said `EAGAIN`.
-//!
-//! Fault injection keeps its thread-mode semantics: drops sever before
-//! handling, stalls write half the frame and arm a loop timer (the loop
-//! never sleeps), truncation closes after the half frame flushes.
+//! Fault injection goes through the same [`write_reply_with_fault`] as the
+//! blocking servers: a drop severs before handling, a stall sleeps the
+//! serving worker mid-frame, a truncation closes after the half frame
+//! flushes.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::fault::{FaultKind, FaultPlan, WireFault};
-use crate::pool::PoolTelemetry;
-use crate::protocol::{encode_head, encode_message, Body, Message, MAX_BODY, MAX_HEADERS};
-use crate::proxy::{dispatch, needs_miss_executor, verb_index, ProxyState};
-use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE};
+use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
+use crate::protocol::{encode_head, Body, FrameParser, Message};
+use crate::proxy::{dispatch, verb_index, ProxyState, PROXY_VERBS};
+use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_ONESHOT, EV_RDHUP, EV_READ, EV_WRITE};
 
-/// Token reserved for each loop's wake eventfd.
-const WAKE_TOKEN: u64 = u64::MAX;
-/// Ready events fetched per `epoll_wait` call.
-const EVENT_BATCH: usize = 256;
+/// Name of the serving model, reported in the STATS and HEALTH `Io-Mode`
+/// headers and the `io_mode` label of `baps_build_info`, so every
+/// recorded run says which model produced it.
+pub const IO_MODEL: &str = "epoll-workers";
+
+/// Pause after a failed `accept` before trying again. Under `EMFILE` the
+/// pending connection stays queued and every retry fails at once; the
+/// backoff turns that into at most one attempt per interval.
+pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Token of the stop eventfd (never a connection token).
+const STOP_TOKEN: u64 = u64::MAX;
 /// Bytes read per `read` call on a ready socket.
 const READ_CHUNK: usize = 16 << 10;
-/// Cap on buffered-but-unparsed *head* bytes (start line + headers) per
-/// connection. `read_message` never needed one because a dribbling sender
-/// only tied up its own thread's line buffer; under the reactor the buffer
-/// lives in the shared loop, so a slow-loris peer gets a bounded allowance
-/// (far above any legitimate head) instead of unbounded memory.
-const MAX_HEAD_BYTES: usize = 1 << 20;
 /// Most write-queue segments offered to one vectored write.
 const MAX_IOVEC: usize = 16;
+/// Interest of a connection waiting for its next request.
+const WANT_READ: u32 = EV_READ | EV_RDHUP | EV_ONESHOT;
+/// Interest of a connection parked on a partly written reply.
+const WANT_WRITE: u32 = EV_WRITE | EV_ONESHOT;
 
 // ---------------------------------------------------------------------------
-// Incremental frame parsing
+// Telemetry
 // ---------------------------------------------------------------------------
 
-enum ParseState {
-    Start,
-    Headers,
-    /// Headers done; waiting for this many body bytes.
-    Body(usize),
+/// Always-on gauges of the serving workers that [`crate::pool::PoolTelemetry`]
+/// does not already hold: registered connections and worker busy time.
+/// (`PoolTelemetry` keeps the worker count, busy workers and queue wait.)
+#[derive(Debug)]
+pub(crate) struct ReactorTelemetry {
+    registered: AtomicU64,
+    registered_peak: AtomicU64,
+    ready_events: AtomicU64,
+    busy_nanos: AtomicU64,
+    started: Instant,
 }
 
-/// Incremental, resumable equivalent of [`crate::protocol::read_message`]:
-/// feed it raw socket bytes with [`push`](Self::push), pull complete frames
-/// with [`next`](Self::next). Error cases (empty start line, bad header,
-/// header-count and body-size limits, non-UTF-8 head) match `read_message`
-/// byte for byte so both I/O modes reject exactly the same inputs.
-pub(crate) struct FrameParser {
-    buf: Vec<u8>,
-    /// Parse cursor into `buf`; everything before it has been consumed.
-    pos: usize,
-    state: ParseState,
-    start: String,
-    headers: Vec<(String, String)>,
-}
-
-impl FrameParser {
-    pub(crate) fn new() -> FrameParser {
-        FrameParser {
-            buf: Vec::new(),
-            pos: 0,
-            state: ParseState::Start,
-            start: String::new(),
-            headers: Vec::new(),
+impl ReactorTelemetry {
+    pub(crate) fn new() -> ReactorTelemetry {
+        ReactorTelemetry {
+            registered: AtomicU64::new(0),
+            registered_peak: AtomicU64::new(0),
+            ready_events: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
+            started: Instant::now(),
         }
     }
 
-    /// Appends freshly read socket bytes.
-    pub(crate) fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+    fn conn_registered(&self) {
+        let now = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
+        if now > self.registered_peak.load(Ordering::Relaxed) {
+            self.registered_peak.fetch_max(now, Ordering::Relaxed);
+        }
     }
 
-    /// Whether the parser sits at a clean frame boundary with nothing
-    /// buffered — i.e. EOF here is a graceful close, exactly the case where
-    /// `read_message` returns `Ok(None)`. (The loop closes on EOF either
-    /// way, so this is a test-only distinction.)
-    #[cfg(test)]
-    pub(crate) fn is_idle(&self) -> bool {
-        matches!(self.state, ParseState::Start) && self.pos == self.buf.len()
+    fn conn_closed(&self) {
+        self.registered.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Takes the next `\n`-terminated line (without the terminator) from
-    /// the buffer, or `None` if no full line is buffered yet.
-    fn take_line(&mut self) -> io::Result<Option<String>> {
-        match self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                let line = std::str::from_utf8(&self.buf[self.pos..self.pos + i])
-                    .map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "stream did not contain valid UTF-8",
-                        )
-                    })?
-                    .to_owned();
-                self.pos += i + 1;
-                Ok(Some(line))
-            }
-            None => {
-                if self.buf.len() - self.pos > MAX_HEAD_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "frame head too large",
-                    ));
+    /// Client connections currently registered in the epoll set.
+    pub(crate) fn registered(&self) -> usize {
+        self.registered.load(Ordering::Relaxed) as usize
+    }
+}
+
+/// A point-in-time view of the serving workers, surfaced via
+/// `ProxyServer::reactor_stats`, STATS headers, and `baps_reactor_*`
+/// metrics.
+#[derive(Debug, Clone)]
+pub struct ReactorSnapshot {
+    /// Connections currently registered in the epoll set.
+    pub registered_fds: u64,
+    /// Most connections simultaneously registered since start.
+    pub registered_fds_peak: u64,
+    /// Readiness events claimed by workers.
+    pub ready_events: u64,
+    /// Requests answered from memory or by an administrative verb (derived
+    /// from the memory-hit counter and the per-verb histograms).
+    pub inline_served: u64,
+    /// Requests answered from disk, a peer or the origin (derived from
+    /// those tiers' counters).
+    pub offloaded: u64,
+    /// Fraction of wall time the workers spent serving claimed
+    /// connections rather than waiting in `epoll_wait` (0.0–1.0, averaged
+    /// across workers).
+    pub busy_fraction: f64,
+}
+
+/// The serving workers' snapshot for this proxy incarnation.
+pub(crate) fn snapshot(state: &ProxyState) -> ReactorSnapshot {
+    let t = &state.reactor;
+    let served = state.counters.snapshot();
+    let admin: u64 = (0..PROXY_VERBS.len())
+        .filter(|&i| PROXY_VERBS[i] != "GET")
+        .map(|i| state.obs.verbs.snapshot(i).count())
+        .sum();
+    let workers = state.telemetry.snapshot().workers.max(1);
+    let elapsed = t.started.elapsed().as_nanos().max(1) as f64;
+    let busy = t.busy_nanos.load(Ordering::Relaxed) as f64;
+    ReactorSnapshot {
+        registered_fds: t.registered.load(Ordering::Relaxed),
+        registered_fds_peak: t.registered_peak.load(Ordering::Relaxed),
+        ready_events: t.ready_events.load(Ordering::Relaxed),
+        inline_served: served.proxy_hits + admin,
+        offloaded: served.disk_hits + served.peer_hits + served.origin_fetches,
+        busy_fraction: (busy / (elapsed * workers as f64)).min(1.0),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Connections
+// ---------------------------------------------------------------------------
+
+struct Conn {
+    stream: TcpStream,
+    token: u64,
+    peer_ip: IpAddr,
+    accepted: Instant,
+    /// Set by the first worker to claim the connection; until then it
+    /// counts in the `Queue-Depth` gauge.
+    claimed: AtomicBool,
+    /// One-shot arming means only the claiming worker ever locks this.
+    io: Mutex<ConnIo>,
+}
+
+struct ConnIo {
+    parser: FrameParser,
+    wq: WriteQueue,
+    /// Close once the write queue drains (fault truncation).
+    close_after_flush: bool,
+    /// Accept-to-first-claim wait, attributed to the first sampled
+    /// request as a `queue-wait` span.
+    queue_wait: Option<Duration>,
+}
+
+/// State shared by the acceptor, the workers and the control surface.
+struct Core {
+    epoll: Epoll,
+    stop_fd: WakeFd,
+    stop: AtomicBool,
+    /// Every registered connection, by epoll token. Workers look up the
+    /// token of each claimed event here; a token that is gone belongs to
+    /// a connection already severed.
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    next_token: AtomicU64,
+    state: Arc<ProxyState>,
+}
+
+impl Core {
+    fn register(&self, stream: TcpStream, peer_ip: IpAddr) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let fd = stream.as_raw_fd();
+        let conn = Arc::new(Conn {
+            stream,
+            token,
+            peer_ip,
+            accepted: Instant::now(),
+            claimed: AtomicBool::new(false),
+            io: Mutex::new(ConnIo {
+                parser: FrameParser::new(),
+                wq: WriteQueue::new(),
+                close_after_flush: false,
+                queue_wait: None,
+            }),
+        });
+        self.state.telemetry.enqueued();
+        self.state.reactor.conn_registered();
+        // Into the table before arming: the worker that claims the first
+        // event must find the connection.
+        self.conns.lock().insert(token, conn);
+        if self.epoll.add(fd, token, WANT_READ).is_err()
+            && self.conns.lock().remove(&token).is_some()
+        {
+            self.state.reactor.conn_closed();
+            self.state.telemetry.enqueue_failed();
+        }
+    }
+
+    /// Bookkeeping for a connection that left the table.
+    fn retire(&self, conn: &Conn) {
+        self.state.reactor.conn_closed();
+        if !conn.claimed.swap(true, Ordering::Relaxed) {
+            self.state.telemetry.abandoned();
+        }
+    }
+
+    fn close(&self, conn: &Conn) {
+        if self.conns.lock().remove(&conn.token).is_some() {
+            self.retire(conn);
+        }
+    }
+
+    /// Severs every registered connection. Closing is the severing: the
+    /// table holds the only handle of each socket (a worker mid-serve
+    /// holds a second reference to the same fd, not a duplicate fd).
+    fn drop_all(&self) {
+        let conns = std::mem::take(&mut *self.conns.lock());
+        for conn in conns.into_values() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            self.retire(&conn);
+        }
+    }
+
+    fn accept_loop(&self, listener: TcpListener) {
+        while !self.stop.load(Ordering::Acquire) {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if self.stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    self.register(stream, peer.ip());
                 }
-                Ok(None)
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.state
+                        .counters
+                        .accept_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
             }
         }
     }
 
-    /// Returns the next complete frame, `Ok(None)` if more bytes are
-    /// needed, or the same `InvalidData` errors `read_message` raises.
-    pub(crate) fn next(&mut self) -> io::Result<Option<Message>> {
+    fn worker_loop(&self) {
+        let state = &*self.state;
+        let mut events = [EpollEvent::default(); 1];
+        let mut scratch = vec![0u8; READ_CHUNK];
         loop {
-            match self.state {
-                ParseState::Start => {
-                    let Some(line) = self.take_line()? else {
-                        return Ok(None);
-                    };
-                    let start = line.trim_end().to_owned();
-                    if start.is_empty() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "empty start line",
-                        ));
-                    }
-                    self.start = start;
-                    self.state = ParseState::Headers;
-                }
-                ParseState::Headers => {
-                    let Some(line) = self.take_line()? else {
-                        return Ok(None);
-                    };
-                    let line = line.trim_end();
-                    if line.is_empty() {
-                        let len = self.content_length()?;
-                        self.state = ParseState::Body(len);
-                        continue;
-                    }
-                    if self.headers.len() >= MAX_HEADERS {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "too many headers",
-                        ));
-                    }
-                    let (name, value) = line.split_once(':').ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {line}"))
-                    })?;
-                    self.headers
-                        .push((name.trim().to_owned(), value.trim().to_owned()));
-                }
-                ParseState::Body(len) => {
-                    if self.buf.len() - self.pos < len {
-                        return Ok(None);
-                    }
-                    let body: Body = Arc::from(&self.buf[self.pos..self.pos + len]);
-                    self.pos += len;
-                    // Compact: everything consumed so far is dead weight.
-                    self.buf.drain(..self.pos);
-                    self.pos = 0;
-                    self.state = ParseState::Start;
-                    return Ok(Some(Message {
-                        start: std::mem::take(&mut self.start),
-                        headers: std::mem::take(&mut self.headers),
-                        body,
-                    }));
-                }
+            match self.epoll.wait(&mut events, None) {
+                Ok(0) => continue,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
             }
+            // Copy out of the (packed) event before using the fields.
+            let token = events[0].data;
+            let bits = events[0].events;
+            if token == STOP_TOKEN || self.stop.load(Ordering::Acquire) {
+                return;
+            }
+            let Some(conn) = self.conns.lock().get(&token).cloned() else {
+                continue;
+            };
+            let t_busy = Instant::now();
+            state.telemetry.task_started();
+            state.reactor.ready_events.fetch_add(1, Ordering::Relaxed);
+            let rearmed = serve_ready(&conn, bits, &mut scratch, state).is_some_and(|want| {
+                self.epoll
+                    .modify(conn.stream.as_raw_fd(), token, want)
+                    .is_ok()
+            });
+            if !rearmed {
+                self.close(&conn);
+            }
+            state.telemetry.task_finished();
+            state
+                .reactor
+                .busy_nanos
+                .fetch_add(t_busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
+}
 
-    /// `Content-Length` of the frame whose headers were just completed
-    /// (first case-insensitive match, like `Message::get`); zero if absent.
-    fn content_length(&self) -> io::Result<usize> {
-        let Some((_, value)) = self
-            .headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("Content-Length"))
-        else {
-            return Ok(0);
-        };
-        let len: usize = value
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}")))?;
-        if len > MAX_BODY {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
+/// Serves one claimed readiness event: flush queued replies, then parse
+/// and serve frames, reading more bytes only when no complete frame is
+/// buffered. Returns the interest to re-arm with, or `None` to close.
+fn serve_ready(conn: &Conn, bits: u32, scratch: &mut [u8], state: &ProxyState) -> Option<u32> {
+    if bits & EV_ERROR != 0 {
+        return None;
+    }
+    let mut io = conn.io.lock();
+    if !conn.claimed.swap(true, Ordering::Relaxed) {
+        let wait = conn.accepted.elapsed();
+        state.telemetry.dequeued(wait);
+        io.queue_wait = Some(wait);
+    }
+    // A short read means the socket was drained: re-arm instead of paying
+    // a read that would only say `EAGAIN`.
+    let mut drained = false;
+    loop {
+        if !io.wq.is_empty() {
+            match io.wq.flush(&mut &conn.stream) {
+                Ok(true) => {}
+                Ok(false) => return Some(WANT_WRITE),
+                Err(_) => return None,
+            }
         }
-        Ok(len)
+        if io.close_after_flush {
+            return None;
+        }
+        match io.parser.next_frame() {
+            Ok(Some(msg)) => {
+                if !serve_frame(conn, &mut io, &msg, state) {
+                    return None;
+                }
+                continue;
+            }
+            Ok(None) => {}
+            // Protocol violation: close without a reply.
+            Err(_) => return None,
+        }
+        if drained {
+            return Some(WANT_READ);
+        }
+        match (&conn.stream).read(scratch) {
+            Ok(0) => return None,
+            Ok(n) => {
+                io.parser.push(&scratch[..n]);
+                drained = n < scratch.len();
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(WANT_READ),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    }
+}
+
+/// One complete request frame: draw the fault decision (one RNG draw per
+/// GET, in arrival order), run `dispatch`, and queue the reply.
+/// `false` = close.
+fn serve_frame(conn: &Conn, io: &mut ConnIo, msg: &Message, state: &ProxyState) -> bool {
+    // One proxy-site fault decision per client-facing GET. The
+    // administrative verbs stay honest so chaos runs can still register
+    // clients and read counters.
+    let fault = match (msg.tokens().first(), state.config.faults.as_deref()) {
+        (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
+        _ => None,
+    };
+    if fault == Some(FaultKind::ProxyDrop) {
+        // Sever before handling: the client sees EOF, redials, and
+        // replays; the request is never counted.
+        return false;
+    }
+    let t_verb = Instant::now();
+    let reply = dispatch(msg, conn.peer_ip, &mut io.queue_wait, state);
+    state
+        .obs
+        .verbs
+        .record(verb_index(msg.tokens().first()), t_verb.elapsed());
+    let Some(reply) = reply else {
+        return true;
+    };
+    if fault.and_then(FaultKind::wire).is_none() {
+        let Ok(head) = encode_head(&reply) else {
+            return false;
+        };
+        io.wq.push_owned(head.into_bytes());
+        io.wq.push_shared(Arc::clone(&reply.body));
+        return true;
+    }
+    let stall = state
+        .config
+        .faults
+        .as_deref()
+        .map(FaultPlan::stall)
+        .unwrap_or_default();
+    let mut sink = QueueWriter {
+        wq: &mut io.wq,
+        stream: &conn.stream,
+    };
+    match write_reply_with_fault(&mut sink, &reply, fault, stall) {
+        Ok(keep) => {
+            io.close_after_flush = !keep;
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// Adapts a connection's write queue to [`Write`] for the fault writer:
+/// writes queue private copies, `flush` pushes what the socket takes now.
+struct QueueWriter<'a> {
+    wq: &'a mut WriteQueue,
+    stream: &'a TcpStream,
+}
+
+impl Write for QueueWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.wq.push_owned(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.wq.flush(&mut self.stream).map(drop)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The server: acceptor + workers
+// ---------------------------------------------------------------------------
+
+/// The running serving model of one proxy incarnation.
+pub(crate) struct EpollServer {
+    core: Arc<Core>,
+    addr: SocketAddr,
+    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl EpollServer {
+    /// Spawns the acceptor (`{name}`) on `listener` and `workers` serving
+    /// workers (`{name}-worker-N`).
+    pub(crate) fn start(
+        name: &str,
+        listener: TcpListener,
+        workers: usize,
+        state: Arc<ProxyState>,
+    ) -> io::Result<EpollServer> {
+        let workers = workers.max(1);
+        state.telemetry.set_workers(workers as u64);
+        let addr = listener.local_addr()?;
+        let core = Arc::new(Core {
+            epoll: Epoll::new()?,
+            stop_fd: WakeFd::new()?,
+            stop: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(0),
+            state,
+        });
+        // Level-triggered: once written at stop, it wakes every waiter in
+        // turn.
+        core.epoll.add(core.stop_fd.raw(), STOP_TOKEN, EV_READ)?;
+        let mut server = EpollServer {
+            core: Arc::clone(&core),
+            addr,
+            acceptor: None,
+            workers: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let core = Arc::clone(&core);
+            server.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-worker-{i}"))
+                    .spawn(move || core.worker_loop())?,
+            );
+        }
+        server.acceptor = Some(
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || core.accept_loop(listener))?,
+        );
+        Ok(server)
+    }
+
+    /// Severs every open client connection without stopping the server.
+    /// Returns once every socket is shut down, so callers may assert on
+    /// EOF at once.
+    pub(crate) fn drop_all(&self) {
+        self.core.drop_all();
+    }
+
+    /// Stops accepting, joins the acceptor and every worker, then closes
+    /// the remaining connections (keep-alive clients see EOF). Workers
+    /// never block on a client socket, so the joins wait at most for the
+    /// miss or fault stall a worker is in.
+    pub(crate) fn shutdown(&mut self) {
+        self.core.stop.store(true, Ordering::Release);
+        // Unblock the acceptor; it sees the flag and returns.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        self.core.stop_fd.wake();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+        for conn in std::mem::take(&mut *self.core.conns.lock()).into_values() {
+            self.core.retire(&conn);
+        }
     }
 }
 
@@ -246,22 +546,22 @@ impl Segment {
 
 /// Pending reply bytes for one connection, flushed with vectored writes
 /// that resume mid-segment after `EAGAIN`.
-pub(crate) struct WriteQueue {
+struct WriteQueue {
     segs: VecDeque<Segment>,
 }
 
 impl WriteQueue {
-    pub(crate) fn new() -> WriteQueue {
+    fn new() -> WriteQueue {
         WriteQueue {
             segs: VecDeque::new(),
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.segs.is_empty()
     }
 
-    pub(crate) fn push_owned(&mut self, bytes: Vec<u8>) {
+    fn push_owned(&mut self, bytes: Vec<u8>) {
         if !bytes.is_empty() {
             self.segs.push_back(Segment {
                 bytes: SegBytes::Owned(bytes),
@@ -270,7 +570,7 @@ impl WriteQueue {
         }
     }
 
-    pub(crate) fn push_shared(&mut self, body: Body) {
+    fn push_shared(&mut self, body: Body) {
         if !body.is_empty() {
             self.segs.push_back(Segment {
                 bytes: SegBytes::Shared(body),
@@ -298,7 +598,7 @@ impl WriteQueue {
     /// Writes as much as the socket accepts. `Ok(true)` = fully drained,
     /// `Ok(false)` = the kernel pushed back (`EAGAIN`); re-arm `EPOLLOUT`
     /// and continue from the same byte on the next writable event.
-    pub(crate) fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<bool> {
+    fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<bool> {
         while !self.segs.is_empty() {
             let bufs: Vec<IoSlice<'_>> = self
                 .segs
@@ -323,903 +623,10 @@ impl WriteQueue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
-
-/// Always-on gauges for the reactor, the event-driven analogue of
-/// [`PoolTelemetry`]: registered connections instead of parked threads,
-/// loop busy-fraction instead of busy workers, epoll batch depth instead of
-/// backlog depth. (In reactor mode `PoolTelemetry` itself keeps reporting —
-/// it describes the blocking miss executor.)
-#[derive(Debug)]
-pub struct ReactorTelemetry {
-    loops: AtomicU64,
-    registered: AtomicU64,
-    registered_peak: AtomicU64,
-    ready_events: AtomicU64,
-    ready_batch_peak: AtomicU64,
-    wakeups: AtomicU64,
-    inline_served: AtomicU64,
-    offloaded: AtomicU64,
-    busy_micros: AtomicU64,
-    started: Instant,
-}
-
-impl ReactorTelemetry {
-    pub(crate) fn new() -> ReactorTelemetry {
-        ReactorTelemetry {
-            loops: AtomicU64::new(0),
-            registered: AtomicU64::new(0),
-            registered_peak: AtomicU64::new(0),
-            ready_events: AtomicU64::new(0),
-            ready_batch_peak: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            inline_served: AtomicU64::new(0),
-            offloaded: AtomicU64::new(0),
-            busy_micros: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
-
-    fn set_loops(&self, n: u64) {
-        self.loops.store(n, Ordering::Relaxed);
-    }
-
-    fn conn_registered(&self) {
-        let now = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
-        if now > self.registered_peak.load(Ordering::Relaxed) {
-            self.registered_peak.fetch_max(now, Ordering::Relaxed);
-        }
-    }
-
-    fn conn_closed(&self) {
-        self.registered.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn on_batch(&self, ready: u64) {
-        self.ready_events.fetch_add(ready, Ordering::Relaxed);
-        if ready > self.ready_batch_peak.load(Ordering::Relaxed) {
-            self.ready_batch_peak.fetch_max(ready, Ordering::Relaxed);
-        }
-    }
-
-    fn on_wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn inline(&self) {
-        self.inline_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn offload(&self) {
-        self.offloaded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add_busy(&self, busy: Duration) {
-        self.busy_micros
-            .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every reactor gauge.
-    pub fn snapshot(&self) -> ReactorSnapshot {
-        let loops = self.loops.load(Ordering::Relaxed).max(1);
-        let elapsed_us = self.started.elapsed().as_micros().max(1) as u64;
-        let busy_us = self.busy_micros.load(Ordering::Relaxed);
-        ReactorSnapshot {
-            loops,
-            registered_fds: self.registered.load(Ordering::Relaxed),
-            registered_fds_peak: self.registered_peak.load(Ordering::Relaxed),
-            ready_events: self.ready_events.load(Ordering::Relaxed),
-            ready_batch_peak: self.ready_batch_peak.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            inline_served: self.inline_served.load(Ordering::Relaxed),
-            offloaded: self.offloaded.load(Ordering::Relaxed),
-            busy_fraction: (busy_us as f64 / (elapsed_us as f64 * loops as f64)).min(1.0),
-        }
-    }
-}
-
-/// A point-in-time copy of a reactor's [`ReactorTelemetry`], surfaced via
-/// `ProxyServer::reactor_stats`, STATS headers, and `baps_reactor_*`
-/// metrics.
-#[derive(Debug, Clone)]
-pub struct ReactorSnapshot {
-    /// Event loops serving connections.
-    pub loops: u64,
-    /// Connections currently registered with an epoll instance.
-    pub registered_fds: u64,
-    /// Most connections simultaneously registered since start.
-    pub registered_fds_peak: u64,
-    /// Total readiness events delivered to the loops.
-    pub ready_events: u64,
-    /// Most events one `epoll_wait` returned at once (ready-queue depth).
-    pub ready_batch_peak: u64,
-    /// Times a loop was woken through its eventfd (new connection or
-    /// miss-executor completion).
-    pub wakeups: u64,
-    /// Requests answered inline on a loop (memory hits, admin verbs).
-    pub inline_served: u64,
-    /// Requests handed to the blocking miss executor.
-    pub offloaded: u64,
-    /// Fraction of wall time the loops spent processing events rather than
-    /// parked in `epoll_wait` (0.0–1.0, averaged across loops).
-    pub busy_fraction: f64,
-}
-
-// ---------------------------------------------------------------------------
-// Cross-thread plumbing
-// ---------------------------------------------------------------------------
-
-/// Work delivered *to* an event loop by other threads.
-enum Inbound {
-    /// A freshly accepted connection (with its accept timestamp, so the
-    /// handoff delay becomes the connection's queue-wait attribution).
-    Conn(TcpStream, Instant),
-    /// A finished miss-executor dispatch, routed back to the owning loop.
-    Done {
-        token: u64,
-        reply: Option<Message>,
-        fault: Option<FaultKind>,
-        queue_wait: Option<Duration>,
-    },
-    /// Sever every connection this loop owns, then ack. The ack makes
-    /// `drop_connections` synchronous from the caller's side, matching
-    /// thread mode (`ConnRegistry::drop_all` returns only after every
-    /// socket is shut down) — the sequential chaos driver relies on that.
-    DropAll(Sender<()>),
-}
-
-struct LoopShared {
-    inbox: Mutex<Vec<Inbound>>,
-    wake: WakeFd,
-}
-
-/// One offloaded request: everything a miss worker needs to run the
-/// unchanged `dispatch` and route the reply home.
-struct MissJob {
-    loop_id: usize,
-    token: u64,
-    msg: Message,
-    peer_ip: std::net::IpAddr,
-    fault: Option<FaultKind>,
-    queue_wait: Option<Duration>,
-    enqueued: Instant,
-}
-
-/// A stalled reply's second half, due at `at` (`FaultKind::ProxyStall`:
-/// thread mode sleeps the worker mid-frame; the reactor arms a timer and
-/// keeps serving everyone else).
-struct StallTimer {
-    at: Instant,
-    token: u64,
-    rest: Vec<u8>,
-}
-
-// ---------------------------------------------------------------------------
-// Per-connection state machine
-// ---------------------------------------------------------------------------
-
-struct Conn {
-    stream: TcpStream,
-    /// Epoll/loop-local token.
-    token: u64,
-    peer_ip: std::net::IpAddr,
-    parser: FrameParser,
-    wq: WriteQueue,
-    /// Interest mask currently registered with epoll.
-    interest: u32,
-    /// A dispatch is in flight (offloaded) or a stall timer is pending:
-    /// buffered frames wait, exactly like the thread-mode worker that is
-    /// busy inside `dispatch` or asleep mid-stall.
-    busy: bool,
-    /// Close once the write queue drains (fault truncation).
-    close_after_flush: bool,
-    /// Accept-backlog wait, attributed to the first sampled request.
-    queue_wait: Option<Duration>,
-}
-
-// ---------------------------------------------------------------------------
-// The event loop
-// ---------------------------------------------------------------------------
-
-struct EventLoop {
-    id: usize,
-    epoll: Epoll,
-    shared: Arc<LoopShared>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    timers: Vec<StallTimer>,
-    state: Arc<ProxyState>,
-    miss_tx: Sender<MissJob>,
-    pool_telemetry: Arc<PoolTelemetry>,
-    telemetry: Arc<ReactorTelemetry>,
-    stop: Arc<AtomicBool>,
-    scratch: Vec<u8>,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let mut events = vec![EpollEvent::default(); EVENT_BATCH];
-        loop {
-            let timeout = self.next_timeout();
-            let n = match self.epoll.wait(&mut events, timeout) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            };
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let t_busy = Instant::now();
-            if n > 0 {
-                self.telemetry.on_batch(n as u64);
-            }
-            for ev in events.iter().take(n) {
-                // Copy out of the (packed) event before using the fields.
-                let token = ev.data;
-                let bits = ev.events;
-                if token == WAKE_TOKEN {
-                    self.telemetry.on_wakeup();
-                    self.shared.wake.drain();
-                    self.drain_inbox();
-                } else {
-                    self.on_ready(token, bits);
-                }
-            }
-            self.fire_timers();
-            self.telemetry.add_busy(t_busy.elapsed());
-        }
-    }
-
-    fn next_timeout(&self) -> Option<Duration> {
-        let now = Instant::now();
-        self.timers
-            .iter()
-            .map(|t| t.at.saturating_duration_since(now))
-            .min()
-    }
-
-    fn drain_inbox(&mut self) {
-        let inbound = std::mem::take(&mut *self.shared.inbox.lock());
-        for item in inbound {
-            match item {
-                Inbound::Conn(stream, accepted) => self.add_conn(stream, accepted),
-                Inbound::Done {
-                    token,
-                    reply,
-                    fault,
-                    queue_wait,
-                } => self.on_done(token, reply, fault, queue_wait),
-                Inbound::DropAll(ack) => {
-                    self.drop_all_conns();
-                    let _ = ack.send(());
-                }
-            }
-        }
-    }
-
-    /// Severs every connection this loop owns (`drop_connections`). Closing
-    /// the stream is the severing: the loop is the fd's only owner — no
-    /// duplicate handle exists anywhere, which is what keeps 10k idle
-    /// connections at 10k proxy-side fds instead of 20k.
-    fn drop_all_conns(&mut self) {
-        for (_, conn) in std::mem::take(&mut self.conns) {
-            self.drop_conn(conn);
-        }
-    }
-
-    fn add_conn(&mut self, stream: TcpStream, accepted: Instant) {
-        if self.stop.load(Ordering::Acquire) {
-            return; // shutting down: close instead of registering
-        }
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let Ok(peer) = stream.peer_addr() else {
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        let interest = EV_READ | EV_RDHUP;
-        if self.epoll.add(stream.as_raw_fd(), token, interest).is_err() {
-            return;
-        }
-        self.telemetry.conn_registered();
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                token,
-                peer_ip: peer.ip(),
-                parser: FrameParser::new(),
-                wq: WriteQueue::new(),
-                interest,
-                busy: false,
-                close_after_flush: false,
-                queue_wait: Some(accepted.elapsed()),
-            },
-        );
-    }
-
-    fn drop_conn(&mut self, conn: Conn) {
-        let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        self.telemetry.conn_closed();
-        self.timers.retain(|t| t.token != conn.token);
-    }
-
-    fn on_ready(&mut self, token: u64, bits: u32) {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        let mut alive = bits & EV_ERROR == 0;
-        if alive && bits & (EV_READ | EV_RDHUP | EV_HUP) != 0 {
-            alive = self.drive_readable(&mut conn);
-        }
-        let alive = alive && self.after_io(&mut conn);
-        if alive {
-            self.conns.insert(token, conn);
-        } else {
-            self.drop_conn(conn);
-        }
-    }
-
-    /// Reads until the socket would block, feeding the frame parser.
-    /// `false` = peer gone (EOF) or hard error: close.
-    fn drive_readable(&mut self, conn: &mut Conn) -> bool {
-        loop {
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    conn.parser.push(&self.scratch[..n]);
-                    if n < self.scratch.len() {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Parses and dispatches buffered frames (unless the connection is
-    /// mid-dispatch), flushes pending writes, and re-arms epoll interest.
-    /// `false` = close the connection.
-    fn after_io(&mut self, conn: &mut Conn) -> bool {
-        while !conn.busy {
-            match conn.parser.next() {
-                Ok(Some(msg)) => {
-                    if !self.handle_frame(conn, msg) {
-                        return false;
-                    }
-                }
-                Ok(None) => break,
-                // Protocol violation: thread mode propagates the error out
-                // of `serve_connection`, closing without a reply. Same here.
-                Err(_) => return false,
-            }
-        }
-        match conn.wq.flush(&mut conn.stream) {
-            Ok(true) => {
-                if conn.close_after_flush && !conn.busy {
-                    return false;
-                }
-            }
-            Ok(false) => {}
-            Err(_) => return false,
-        }
-        self.update_interest(conn)
-    }
-
-    fn update_interest(&mut self, conn: &mut Conn) -> bool {
-        let mut want = EV_READ | EV_RDHUP;
-        if !conn.wq.is_empty() {
-            want |= EV_WRITE;
-        }
-        if want == conn.interest {
-            return true;
-        }
-        if self
-            .epoll
-            .modify(conn.stream.as_raw_fd(), conn.token, want)
-            .is_err()
-        {
-            return false;
-        }
-        conn.interest = want;
-        true
-    }
-
-    /// One complete request frame: draw the fault decision (same single
-    /// RNG draw per GET as thread mode, in arrival order), then dispatch
-    /// inline or offload to the miss executor. `false` = close.
-    fn handle_frame(&mut self, conn: &mut Conn, msg: Message) -> bool {
-        let fault = match (msg.tokens().first(), self.state.config.faults.as_deref()) {
-            (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
-            _ => None,
-        };
-        if fault == Some(FaultKind::ProxyDrop) {
-            // Sever before handling: the client sees EOF and replays.
-            return false;
-        }
-        if needs_miss_executor(&msg, &self.state) {
-            conn.busy = true;
-            self.telemetry.offload();
-            self.pool_telemetry.enqueued();
-            let job = MissJob {
-                loop_id: self.id,
-                token: conn.token,
-                peer_ip: conn.peer_ip,
-                fault,
-                queue_wait: conn.queue_wait.take(),
-                enqueued: Instant::now(),
-                msg,
-            };
-            if self.miss_tx.send(job).is_err() {
-                self.pool_telemetry.enqueue_failed();
-                return false; // executor gone: shutting down
-            }
-            return true;
-        }
-        self.telemetry.inline();
-        let t_verb = Instant::now();
-        let verb = verb_index(msg.tokens().first());
-        let reply = dispatch(&msg, conn.peer_ip, &mut conn.queue_wait, &self.state);
-        self.state.obs.verbs.record(verb, t_verb.elapsed());
-        match reply {
-            Some(reply) => self.enqueue_reply(conn, &reply, fault),
-            None => true,
-        }
-    }
-
-    /// A miss-executor completion for connection `token` (which may have
-    /// died in the meantime — the thread-mode analogue is a reply whose
-    /// write fails).
-    fn on_done(
-        &mut self,
-        token: u64,
-        reply: Option<Message>,
-        fault: Option<FaultKind>,
-        queue_wait: Option<Duration>,
-    ) {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        conn.queue_wait = queue_wait;
-        conn.busy = false;
-        let mut alive = true;
-        if let Some(reply) = reply {
-            alive = self.enqueue_reply(&mut conn, &reply, fault);
-        }
-        let alive = alive && self.after_io(&mut conn);
-        if alive {
-            self.conns.insert(token, conn);
-        } else {
-            self.drop_conn(conn);
-        }
-    }
-
-    /// Queues a reply, applying the wire-level fault exactly as
-    /// [`crate::fault::write_reply_with_fault`] would — except a stall
-    /// arms a loop timer instead of sleeping the thread. `false` = close.
-    fn enqueue_reply(
-        &mut self,
-        conn: &mut Conn,
-        reply: &Message,
-        fault: Option<FaultKind>,
-    ) -> bool {
-        match fault.and_then(FaultKind::wire) {
-            None => {
-                let Ok(head) = encode_head(reply) else {
-                    return false;
-                };
-                conn.wq.push_owned(head.into_bytes());
-                conn.wq.push_shared(Arc::clone(&reply.body));
-                true
-            }
-            Some(WireFault::Corrupt) => {
-                // Flip a byte on a private copy; the shared body stays good.
-                let mut bad = reply.body.to_vec();
-                if let Some(b) = bad.first_mut() {
-                    *b ^= 0xff;
-                }
-                let corrupted = reply.clone().with_body(bad);
-                let Ok(frame) = encode_message(&corrupted) else {
-                    return false;
-                };
-                conn.wq.push_owned(frame);
-                true
-            }
-            Some(WireFault::Truncate) => {
-                let Ok(frame) = encode_message(reply) else {
-                    return false;
-                };
-                let half = frame.len() / 2;
-                conn.wq.push_owned(frame[..half].to_vec());
-                conn.close_after_flush = true;
-                true
-            }
-            Some(WireFault::Stall) => {
-                let Ok(frame) = encode_message(reply) else {
-                    return false;
-                };
-                let stall = self
-                    .state
-                    .config
-                    .faults
-                    .as_deref()
-                    .map(FaultPlan::stall)
-                    .unwrap_or_default();
-                let half = frame.len() / 2;
-                conn.wq.push_owned(frame[..half].to_vec());
-                // Mirror the sleeping thread-mode worker: no further
-                // requests on this connection until the frame completes.
-                conn.busy = true;
-                self.timers.push(StallTimer {
-                    at: Instant::now() + stall,
-                    token: conn.token,
-                    rest: frame[half..].to_vec(),
-                });
-                true
-            }
-        }
-    }
-
-    /// Delivers the second half of stalled frames whose deadline passed.
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.timers.len() {
-            if self.timers[i].at <= now {
-                due.push(self.timers.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for timer in due {
-            let Some(mut conn) = self.conns.remove(&timer.token) else {
-                continue;
-            };
-            conn.wq.push_owned(timer.rest);
-            conn.busy = false;
-            let alive = self.after_io(&mut conn);
-            if alive {
-                self.conns.insert(timer.token, conn);
-            } else {
-                self.drop_conn(conn);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The reactor: loops + miss executor + accept-side handle
-// ---------------------------------------------------------------------------
-
-/// The event-driven serving backend: per-core event loops plus a small
-/// blocking miss executor, behind the same dispatch/shutdown surface as
-/// [`crate::pool::WorkerPool`].
-pub(crate) struct Reactor {
-    shared: Arc<Vec<Arc<LoopShared>>>,
-    next: AtomicUsize,
-    loops: Vec<JoinHandle<()>>,
-    miss_tx: Option<Sender<MissJob>>,
-    miss_workers: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    telemetry: Arc<ReactorTelemetry>,
-}
-
-/// Cloneable control surface over a running reactor, detached from the
-/// [`Reactor`] itself (which moves into the acceptor thread). Fills the
-/// role [`crate::pool::ConnRegistry`] plays in thread mode — but without
-/// the `try_clone` duplicate fd per connection the registry keeps: the
-/// loops are the sole owners of their sockets, so `open_connections` reads
-/// the registered gauge and `drop_all` asks each loop to close its own.
-pub(crate) struct ReactorHandle {
-    shared: Arc<Vec<Arc<LoopShared>>>,
-    telemetry: Arc<ReactorTelemetry>,
-}
-
-impl ReactorHandle {
-    /// Client connections currently registered across the loops.
-    pub(crate) fn open_connections(&self) -> usize {
-        self.telemetry.snapshot().registered_fds as usize
-    }
-
-    /// Severs every open connection without stopping the loops, returning
-    /// once every loop has acked (same synchronous contract as
-    /// `ConnRegistry::drop_all` — callers may immediately assert on EOF).
-    pub(crate) fn drop_all(&self) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for sh in self.shared.iter() {
-            sh.inbox.lock().push(Inbound::DropAll(tx.clone()));
-            sh.wake.wake();
-        }
-        drop(tx);
-        for _ in 0..self.shared.len() {
-            let _ = rx.recv();
-        }
-    }
-}
-
-impl Reactor {
-    /// Spawns `loops` event loops (`{name}-loop-N`) and `miss_workers`
-    /// blocking executor threads (`{name}-miss-N`). `pool_telemetry`
-    /// tracks the miss executor's queue/busy gauges; `telemetry` tracks
-    /// the loops themselves.
-    pub(crate) fn start(
-        name: &str,
-        loops: usize,
-        miss_workers: usize,
-        state: Arc<ProxyState>,
-        pool_telemetry: Arc<PoolTelemetry>,
-        telemetry: Arc<ReactorTelemetry>,
-    ) -> io::Result<Reactor> {
-        let loops = loops.max(1);
-        let miss_workers = miss_workers.max(1);
-        telemetry.set_loops(loops as u64);
-        pool_telemetry.set_workers(miss_workers as u64);
-        let stop = Arc::new(AtomicBool::new(false));
-        let (miss_tx, miss_rx) = std::sync::mpsc::channel::<MissJob>();
-        let miss_rx = Arc::new(Mutex::new(miss_rx));
-
-        let mut shared = Vec::with_capacity(loops);
-        let mut loop_handles = Vec::with_capacity(loops);
-        let mut prepared = Vec::with_capacity(loops);
-        for _ in 0..loops {
-            let epoll = Epoll::new()?;
-            let sh = Arc::new(LoopShared {
-                inbox: Mutex::new(Vec::new()),
-                wake: WakeFd::new()?,
-            });
-            epoll.add(sh.wake.raw(), WAKE_TOKEN, EV_READ)?;
-            shared.push(Arc::clone(&sh));
-            prepared.push((epoll, sh));
-        }
-        let shared = Arc::new(shared);
-
-        for (id, (epoll, sh)) in prepared.into_iter().enumerate() {
-            let ev_loop = EventLoop {
-                id,
-                epoll,
-                shared: sh,
-                conns: HashMap::new(),
-                next_token: 0,
-                timers: Vec::new(),
-                state: Arc::clone(&state),
-                miss_tx: miss_tx.clone(),
-                pool_telemetry: Arc::clone(&pool_telemetry),
-                telemetry: Arc::clone(&telemetry),
-                stop: Arc::clone(&stop),
-                scratch: vec![0u8; READ_CHUNK],
-            };
-            loop_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{name}-loop-{id}"))
-                    .spawn(move || ev_loop.run())?,
-            );
-        }
-
-        let mut miss_handles = Vec::with_capacity(miss_workers);
-        for i in 0..miss_workers {
-            let rx = Arc::clone(&miss_rx);
-            let state = Arc::clone(&state);
-            let shared = Arc::clone(&shared);
-            let pool_telemetry = Arc::clone(&pool_telemetry);
-            miss_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{name}-miss-{i}"))
-                    .spawn(move || miss_worker_loop(&rx, &state, &shared, &pool_telemetry))?,
-            );
-        }
-
-        Ok(Reactor {
-            shared,
-            next: AtomicUsize::new(0),
-            loops: loop_handles,
-            miss_tx: Some(miss_tx),
-            miss_workers: miss_handles,
-            stop,
-            telemetry,
-        })
-    }
-
-    /// Hands an accepted connection to the next loop, round-robin.
-    /// (Never rejects: an idle connection costs a registered fd, not a
-    /// bounded-backlog slot.)
-    pub(crate) fn dispatch(&self, stream: TcpStream) -> bool {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.len();
-        let sh = &self.shared[i];
-        sh.inbox.lock().push(Inbound::Conn(stream, Instant::now()));
-        sh.wake.wake();
-        true
-    }
-
-    /// Control surface for `open_connections` / `drop_connections`,
-    /// cloneable out before the reactor moves into the acceptor thread.
-    pub(crate) fn handle(&self) -> ReactorHandle {
-        ReactorHandle {
-            shared: Arc::clone(&self.shared),
-            telemetry: Arc::clone(&self.telemetry),
-        }
-    }
-
-    /// Stops the loops and the miss executor, joining every thread. The
-    /// loops never block in socket I/O, so the stop flag plus an eventfd
-    /// wake is enough; each loop closes its own connections on exit
-    /// (dropping its conn table), giving keep-alive clients the same EOF
-    /// thread mode produces via `ConnRegistry::close_all`.
-    pub(crate) fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        for sh in self.shared.iter() {
-            sh.wake.wake();
-        }
-        for handle in self.loops.drain(..) {
-            let _ = handle.join();
-        }
-        // Loops are gone (their Sender clones dropped); dropping ours
-        // disconnects the channel and the miss workers exit after their
-        // current job.
-        drop(self.miss_tx.take());
-        for handle in self.miss_workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Blocking executor for requests the loops must not run inline: the whole
-/// miss path (disk tier, peer probes with retry backoff, origin fetches,
-/// coalesced followers parking on the in-flight condvar). Runs the
-/// unchanged `dispatch`, then routes the reply to the owning loop's inbox.
-fn miss_worker_loop(
-    rx: &Mutex<Receiver<MissJob>>,
-    state: &Arc<ProxyState>,
-    shared: &Arc<Vec<Arc<LoopShared>>>,
-    pool_telemetry: &Arc<PoolTelemetry>,
-) {
-    loop {
-        let job = {
-            let rx = rx.lock();
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
-        pool_telemetry.dequeued(job.enqueued.elapsed());
-        pool_telemetry.task_started();
-        let mut queue_wait = job.queue_wait;
-        let t_verb = Instant::now();
-        let verb = verb_index(job.msg.tokens().first());
-        let reply = dispatch(&job.msg, job.peer_ip, &mut queue_wait, state);
-        state.obs.verbs.record(verb, t_verb.elapsed());
-        pool_telemetry.task_finished();
-        let sh = &shared[job.loop_id];
-        sh.inbox.lock().push(Inbound::Done {
-            token: job.token,
-            reply,
-            fault: job.fault,
-            queue_wait,
-        });
-        sh.wake.wake();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_message, response, status};
-    use std::io::BufReader;
-
-    fn frame(msg: &Message) -> Vec<u8> {
-        encode_message(msg).unwrap()
-    }
-
-    fn sample_request() -> Message {
-        Message::new("GET /doc/1 BAPS/1.0")
-            .header("Client", "7")
-            .header("Trace-Id", "42")
-            .with_body(b"hello body".to_vec())
-    }
-
-    #[test]
-    fn parser_matches_read_message_byte_at_a_time() {
-        let msg = sample_request();
-        let bytes = frame(&msg);
-        let mut parser = FrameParser::new();
-        let mut out = None;
-        for (i, b) in bytes.iter().enumerate() {
-            parser.push(std::slice::from_ref(b));
-            if let Some(got) = parser.next().unwrap() {
-                assert_eq!(i, bytes.len() - 1, "frame completed exactly at the end");
-                out = Some(got);
-            }
-        }
-        let got = out.expect("frame parsed");
-        let want = read_message(&mut BufReader::new(&bytes[..]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(got.start, want.start);
-        assert_eq!(got.headers, want.headers);
-        assert_eq!(&got.body[..], &want.body[..]);
-        assert!(parser.is_idle());
-    }
-
-    #[test]
-    fn parser_handles_pipelined_frames_in_one_push() {
-        let a = sample_request();
-        let b = response(status::OK, "OK").with_body(b"second".to_vec());
-        let mut bytes = frame(&a);
-        bytes.extend_from_slice(&frame(&b));
-        let mut parser = FrameParser::new();
-        parser.push(&bytes);
-        let first = parser.next().unwrap().expect("first frame");
-        assert_eq!(first.start, a.start);
-        let second = parser.next().unwrap().expect("second frame");
-        assert_eq!(&second.body[..], b"second");
-        assert!(parser.next().unwrap().is_none());
-        assert!(parser.is_idle());
-    }
-
-    #[test]
-    fn parser_accepts_bodyless_frames() {
-        let msg = Message::new("STATS BAPS/1.0");
-        let mut parser = FrameParser::new();
-        parser.push(&frame(&msg));
-        let got = parser.next().unwrap().expect("frame");
-        assert_eq!(got.start, "STATS BAPS/1.0");
-        assert!(got.body.is_empty());
-    }
-
-    #[test]
-    fn parser_rejects_what_read_message_rejects() {
-        // Empty start line.
-        let mut p = FrameParser::new();
-        p.push(b"\r\n");
-        assert_eq!(
-            p.next().unwrap_err().kind(),
-            io::ErrorKind::InvalidData,
-            "empty start line"
-        );
-
-        // Header without a colon.
-        let mut p = FrameParser::new();
-        p.push(b"GET /x BAPS/1.0\r\nnot-a-header\r\n\r\n");
-        assert_eq!(p.next().unwrap_err().kind(), io::ErrorKind::InvalidData);
-
-        // Unparseable Content-Length.
-        let mut p = FrameParser::new();
-        p.push(b"GET /x BAPS/1.0\r\nContent-Length: nope\r\n\r\n");
-        assert_eq!(p.next().unwrap_err().kind(), io::ErrorKind::InvalidData);
-
-        // Oversized body declaration.
-        let mut p = FrameParser::new();
-        let huge = format!(
-            "GET /x BAPS/1.0\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        p.push(huge.as_bytes());
-        assert_eq!(p.next().unwrap_err().kind(), io::ErrorKind::InvalidData);
-
-        // Too many headers.
-        let mut p = FrameParser::new();
-        let mut many = String::from("GET /x BAPS/1.0\r\n");
-        for i in 0..=MAX_HEADERS {
-            many.push_str(&format!("H{i}: v\r\n"));
-        }
-        many.push_str("\r\n");
-        p.push(many.as_bytes());
-        assert_eq!(p.next().unwrap_err().kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn parser_caps_unterminated_heads() {
-        let mut p = FrameParser::new();
-        p.push(&vec![b'a'; MAX_HEAD_BYTES + 2]);
-        assert_eq!(p.next().unwrap_err().kind(), io::ErrorKind::InvalidData);
-    }
+    use crate::protocol::{response, status};
 
     /// Writer that accepts at most `cap` bytes per call and then a
     /// `WouldBlock`, like a full socket send buffer.

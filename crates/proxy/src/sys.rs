@@ -1,12 +1,13 @@
-//! Thin raw-syscall shim over Linux `epoll(7)` and `eventfd(2)`.
+//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)` and the
+//! open-files resource limit.
 //!
 //! The workspace takes no external crates and `std` exposes no readiness
-//! API, so the reactor (DESIGN.md §13) declares the handful of libc
-//! symbols it needs directly — `std` already links libc on every supported
-//! target, so the symbols are present without adding a dependency. Only
-//! the two kernel objects the reactor needs are wrapped: an epoll instance
-//! and an eventfd used as a cross-thread wakeup. Everything else
-//! (nonblocking sockets, vectored writes) goes through `std::net`.
+//! API, so the proxy's serving workers (DESIGN.md §13) declare the handful
+//! of libc symbols they need directly — `std` already links libc on every
+//! supported target, so the symbols are present without adding a
+//! dependency. Wrapped: an epoll instance, an eventfd used to stop the
+//! workers, and `RLIMIT_NOFILE` (so tests can force `EMFILE`). Everything
+//! else (nonblocking sockets, vectored writes) goes through `std::net`.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -16,10 +17,10 @@ use std::time::Duration;
 // Constants from the Linux UAPI headers (a stable kernel ABI).
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
+const RLIMIT_NOFILE: c_int = 7;
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EV_READ: u32 = 0x001;
@@ -27,18 +28,48 @@ pub(crate) const EV_READ: u32 = 0x001;
 pub(crate) const EV_WRITE: u32 = 0x004;
 /// Error condition (`EPOLLERR`) — always reported, never requested.
 pub(crate) const EV_ERROR: u32 = 0x008;
-/// Peer hung up (`EPOLLHUP`) — always reported, never requested.
-pub(crate) const EV_HUP: u32 = 0x010;
 /// Peer closed its write half (`EPOLLRDHUP`).
 pub(crate) const EV_RDHUP: u32 = 0x2000;
+/// Disarm after one event until re-armed with [`Epoll::modify`]
+/// (`EPOLLONESHOT`): exactly one waiter claims each readiness.
+pub(crate) const EV_ONESHOT: u32 = 1 << 30;
+
+/// Mirror of the kernel's `struct rlimit` (`rlim_t` is 64-bit on every
+/// 64-bit Linux target).
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
 
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    #[cfg(test)]
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+}
+
+/// The process's open-files limit as `(soft, hard)`.
+pub fn open_files_limit() -> io::Result<(u64, u64)> {
+    let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live, writable `struct rlimit`.
+    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
+    Ok((lim.cur, lim.max))
+}
+
+/// Sets the soft open-files limit, keeping the hard limit. New
+/// descriptors numbered at or above `soft` then fail with `EMFILE`.
+pub fn set_open_files_limit(soft: u64) -> io::Result<()> {
+    let (_, max) = open_files_limit()?;
+    let lim = RLimit { cur: soft, max };
+    // SAFETY: `lim` is a live `struct rlimit`; the kernel only reads it.
+    cvt(unsafe { setrlimit(RLIMIT_NOFILE, &lim) })?;
+    Ok(())
 }
 
 /// Mirror of the kernel's `struct epoll_event`. The x86-64 kernel ABI
@@ -99,14 +130,6 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Removes `fd` from the interest list. (Closing the fd removes it
-    /// implicitly; an explicit delete keeps the bookkeeping obvious.)
-    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
-        // Pre-2.6.9 kernels demanded a non-null event even for DEL; passing
-        // one keeps the shim trivially portable.
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
     /// Blocks until at least one registered fd is ready or `timeout`
     /// elapses (`None` waits forever). Fills `events` and returns how many
     /// entries are valid. A zero-fd wait with a timeout still sleeps.
@@ -137,9 +160,8 @@ impl Epoll {
     }
 }
 
-/// A nonblocking eventfd used to wake an event loop from another thread
-/// (the accept loop handing over a connection, a miss worker delivering a
-/// completion).
+/// A nonblocking eventfd that wakes threads blocked in [`Epoll::wait`]
+/// from another thread (stopping the serving workers).
 pub(crate) struct WakeFd {
     fd: OwnedFd,
 }
@@ -160,9 +182,9 @@ impl WakeFd {
         self.fd.as_raw_fd()
     }
 
-    /// Makes the eventfd readable, waking any loop blocked in
+    /// Makes the eventfd readable, waking a thread blocked in
     /// [`Epoll::wait`] on it. Best-effort: a saturated counter (`EAGAIN`)
-    /// already guarantees the loop will wake.
+    /// already guarantees the wake.
     pub(crate) fn wake(&self) {
         let one: u64 = 1;
         // SAFETY: writing 8 bytes from a live stack value to an fd we own.
@@ -176,6 +198,7 @@ impl WakeFd {
     }
 
     /// Resets the counter so the next [`Self::wake`] is observable again.
+    #[cfg(test)]
     pub(crate) fn drain(&self) {
         let mut buf: u64 = 0;
         // SAFETY: reading 8 bytes into a live stack value from an fd we own.
@@ -220,11 +243,12 @@ mod tests {
         assert_eq!(token, 42);
         assert_ne!(bits & EV_READ, 0);
 
-        ep.delete(server.as_raw_fd()).unwrap();
+        // Closing the only handle of the socket unregisters it.
+        drop(server);
         let n = ep
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
-        assert_eq!(n, 0, "deleted fd no longer reports");
+        assert_eq!(n, 0, "closed fd no longer reports");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property-based tests of the wire protocol: round-trips, pipelining, and
-//! robustness against arbitrary (malformed) byte streams.
+//! Property-based tests of the wire protocol's one codec: round-trips,
+//! pipelining, split delivery, and robustness against arbitrary
+//! (malformed) byte streams.
 
-use baps_proxy::protocol::MAX_BODY;
-use baps_proxy::{encode_message, read_message, write_message, Message};
+use baps_proxy::protocol::{MAX_BODY, MAX_HEADERS, MAX_HEAD_BYTES};
+use baps_proxy::{encode_message, read_message, write_message, FrameParser, Message};
 use proptest::prelude::*;
 use std::io::BufReader;
 
@@ -145,5 +146,124 @@ proptest! {
         raw.extend_from_slice(&body);
         let result = read_message(&mut BufReader::new(raw.as_slice()));
         prop_assert!(result.is_err(), "short body must error");
+    }
+}
+
+/// Decodes every complete frame buffered in `parser`.
+fn drain(parser: &mut FrameParser) -> Vec<Message> {
+    let mut out = Vec::new();
+    while let Some(msg) = parser.next_frame().expect("valid stream") {
+        out.push(msg);
+    }
+    out
+}
+
+proptest! {
+    /// One codec: a stream of valid frames decodes to the same messages
+    /// whether the parser gets it whole, split at random points, or
+    /// through the blocking `read_message` adapter.
+    #[test]
+    fn frames_decode_the_same_however_the_bytes_arrive(
+        msgs in proptest::collection::vec(message(), 1..4),
+        cuts in proptest::collection::vec(0usize..8192, 0..8),
+    ) {
+        let mut stream = Vec::new();
+        for m in &msgs {
+            write_message(&mut stream, m).unwrap();
+        }
+
+        let mut whole = FrameParser::new();
+        whole.push(&stream);
+        let whole = drain(&mut whole);
+
+        let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        points.sort_unstable();
+        points.push(stream.len());
+        let mut split = FrameParser::new();
+        let mut pieces = Vec::new();
+        let mut prev = 0;
+        for p in points {
+            split.push(&stream[prev..p]);
+            prev = p;
+            pieces.extend(drain(&mut split));
+        }
+        prop_assert!(split.is_idle(), "nothing left over after the last frame");
+
+        let mut reader = BufReader::new(stream.as_slice());
+        let mut blocking = Vec::new();
+        while let Some(m) = read_message(&mut reader).unwrap() {
+            blocking.push(m);
+        }
+
+        prop_assert_eq!(&pieces, &whole);
+        prop_assert_eq!(&blocking, &whole);
+        prop_assert_eq!(whole.len(), msgs.len());
+        for (got, sent) in whole.iter().zip(&msgs) {
+            prop_assert_eq!(&got.start, &sent.start);
+            prop_assert_eq!(&got.body, &sent.body);
+        }
+    }
+}
+
+/// Malformed inputs are refused with `InvalidData` by the parser (fed
+/// whole or in small pieces) and by `read_message` alike.
+#[test]
+fn malformed_frames_are_refused_by_every_entry_point() {
+    let mut too_many = String::from("GET /x BAPS/1.0\r\n");
+    for i in 0..=MAX_HEADERS {
+        too_many.push_str(&format!("H{i}: v\r\n"));
+    }
+    too_many.push_str("\r\n");
+    let table: Vec<(&str, Vec<u8>)> = vec![
+        ("empty start line", b"\r\n".to_vec()),
+        (
+            "header without a colon",
+            b"GET /x BAPS/1.0\r\nnot-a-header\r\n\r\n".to_vec(),
+        ),
+        (
+            "unparsable Content-Length",
+            b"GET /x BAPS/1.0\r\nContent-Length: nope\r\n\r\n".to_vec(),
+        ),
+        (
+            "oversized body",
+            format!(
+                "GET /x BAPS/1.0\r\nContent-Length: {}\r\n\r\n",
+                MAX_BODY + 1
+            )
+            .into_bytes(),
+        ),
+        ("too many headers", too_many.into_bytes()),
+        ("non-UTF-8 head", b"GET /\xff\xfe BAPS/1.0\r\n\r\n".to_vec()),
+        ("unterminated head", vec![b'a'; MAX_HEAD_BYTES + 2]),
+    ];
+    for (what, bytes) in table {
+        let mut whole = FrameParser::new();
+        whole.push(&bytes);
+        let err = whole.next_frame().expect_err(what);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what} (whole)"
+        );
+
+        let piece = if bytes.len() > 4096 { 4096 } else { 1 };
+        let mut split = FrameParser::new();
+        let outcome = bytes.chunks(piece).find_map(|c| {
+            split.push(c);
+            split.next_frame().err()
+        });
+        let err = outcome.unwrap_or_else(|| panic!("{what}: accepted in pieces"));
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what} (pieces)"
+        );
+
+        let err = read_message(&mut BufReader::new(bytes.as_slice())).expect_err(what);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what} (read_message)"
+        );
     }
 }

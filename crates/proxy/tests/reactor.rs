@@ -1,11 +1,11 @@
-//! End-to-end tests of the proxy's epoll reactor (`io_mode = Reactor`,
-//! DESIGN.md §13): full verb coverage, the disk tier, warm restarts,
-//! connection drops, idle-connection scaling, and the slow-loris
-//! regression thread-per-connection could never express.
+//! End-to-end tests of the proxy's serving model, workers that wait in
+//! epoll (DESIGN.md §13): full verb coverage, the disk tier, warm
+//! restarts, connection drops, idle-connection scaling, slow-loris
+//! resistance, and bounded pipelining.
 
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, IoMode, Message, Source, TestBed,
-    TestBedConfig,
+    encode_message, read_message, response_code, write_message, DocumentStore, Message, Source,
+    TestBed, TestBedConfig, IO_MODEL,
 };
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -17,7 +17,6 @@ fn reactor_bed(n_clients: u32, config: TestBedConfig) -> TestBed {
         store,
         TestBedConfig {
             n_clients,
-            io_mode: IoMode::Reactor,
             ..config
         },
     )
@@ -31,9 +30,8 @@ fn disk_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The full serve-tier ladder works on the reactor: origin miss, proxy
-/// memory hit, local browser hit, and a peer hit after proxy eviction —
-/// with the same counters thread mode produces.
+/// The full serve-tier ladder: origin miss, proxy memory hit, local
+/// browser hit, and a peer hit after proxy eviction.
 #[test]
 fn reactor_serves_every_tier() {
     let bed = reactor_bed(
@@ -44,7 +42,6 @@ fn reactor_serves_every_tier() {
             ..TestBedConfig::default()
         },
     );
-    assert_eq!(bed.proxy.io_mode(), IoMode::Reactor);
     let url0 = "http://origin/doc/0";
 
     let r0 = bed.clients[0].fetch(url0).unwrap();
@@ -73,18 +70,19 @@ fn reactor_serves_every_tier() {
     assert_eq!(
         stats.requests,
         stats.proxy_hits + stats.disk_hits + stats.peer_hits + stats.origin_fetches + stats.errors,
-        "balance identity holds in reactor mode"
+        "balance identity holds"
     );
 
-    // Misses were offloaded, the memory hit ran inline on a loop.
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
-    assert!(r.offloaded >= 8, "misses offload to the executor: {r:?}");
-    assert!(r.inline_served >= 1, "hits serve inline on the loop: {r:?}");
+    // Origin and peer answers count as offloaded, the memory hit and the
+    // REGISTERs as inline.
+    let r = bed.proxy.reactor_stats().expect("serving-worker snapshot");
+    assert!(r.offloaded >= 9, "origin and peer answers: {r:?}");
+    assert!(r.inline_served >= 1, "memory and admin answers: {r:?}");
     bed.shutdown();
 }
 
-/// STATS/TRACE/METRICS (and pipelined keep-alive framing) over one raw
-/// connection against a reactor proxy, including the reactor's own gauges.
+/// STATS/TRACE/METRICS (and keep-alive framing) over one raw connection,
+/// including the serving workers' own gauges.
 #[test]
 fn reactor_admin_verbs_over_one_keepalive_connection() {
     let bed = reactor_bed(2, TestBedConfig::default());
@@ -95,7 +93,7 @@ fn reactor_admin_verbs_over_one_keepalive_connection() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
 
-    // GET (memory hit: served inline by the loop).
+    // GET (memory hit).
     write_message(
         &mut writer,
         &Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "0"),
@@ -104,13 +102,12 @@ fn reactor_admin_verbs_over_one_keepalive_connection() {
     let reply = read_message(&mut reader).unwrap().unwrap();
     assert_eq!(response_code(&reply), Some(200));
 
-    // STATS carries the reactor gauges alongside the classic counters.
+    // STATS carries the serving gauges alongside the classic counters.
     write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
     let stats = read_message(&mut reader).unwrap().unwrap();
     assert_eq!(response_code(&stats), Some(200));
-    assert_eq!(stats.get("Io-Mode"), Some("reactor"));
+    assert_eq!(stats.get("Io-Mode"), Some(IO_MODEL));
     let field = |name: &str| -> u64 { stats.get(name).unwrap().parse().unwrap() };
-    assert!(field("Reactor-Loops") >= 1);
     assert!(field("Reactor-Fds") >= 1, "this very connection counts");
     assert!(field("Reactor-Fds-Peak") >= field("Reactor-Fds"));
     assert!(field("Reactor-Inline") >= 1);
@@ -139,7 +136,7 @@ fn reactor_admin_verbs_over_one_keepalive_connection() {
     assert_eq!(response_code(&trace), Some(200));
     assert_eq!(trace.get("Content-Type"), Some("application/jsonl"));
 
-    // INVALIDATE (inline admin verb).
+    // INVALIDATE (admin verb).
     write_message(
         &mut writer,
         &Message::new("INVALIDATE http://origin/doc/0 BAPS/1.0").header("Client", "0"),
@@ -150,8 +147,8 @@ fn reactor_admin_verbs_over_one_keepalive_connection() {
     bed.shutdown();
 }
 
-/// The disk tier works under the reactor, including a warm in-place
-/// restart with monotonic restart-surviving counters.
+/// The disk tier, including a warm in-place restart with monotonic
+/// restart-surviving counters.
 #[test]
 fn reactor_disk_tier_survives_warm_restart() {
     let dir = disk_dir("warm");
@@ -172,11 +169,6 @@ fn reactor_disk_tier_survives_warm_restart() {
     let before = bed.proxy.stats();
 
     bed.restart_proxy().expect("proxy restarts in place");
-    assert_eq!(
-        bed.proxy.io_mode(),
-        IoMode::Reactor,
-        "mode survives restart"
-    );
     assert!(
         bed.proxy.disk_stats().unwrap().entries >= 1,
         "restarted proxy re-opens a non-empty store"
@@ -196,8 +188,8 @@ fn reactor_disk_tier_survives_warm_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `drop_connections` severs reactor-registered connections; clients see
-/// EOF and transparently reconnect.
+/// `drop_connections` severs every registered connection; clients see EOF
+/// and transparently reconnect.
 #[test]
 fn reactor_drop_connections_then_reconnect() {
     let bed = reactor_bed(2, TestBedConfig::default());
@@ -237,7 +229,7 @@ fn reactor_holds_idle_connections_while_serving() {
         idle.push((reader, writer));
     }
 
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
+    let r = bed.proxy.reactor_stats().expect("serving-worker snapshot");
     assert!(
         r.registered_fds >= IDLE as u64,
         "all idle connections registered: {r:?}"
@@ -260,12 +252,11 @@ fn reactor_holds_idle_connections_while_serving() {
     bed.shutdown();
 }
 
-/// Slow-loris regression (the test thread-per-connection could never
-/// express): a swarm of connections dribbling a request head one byte at
-/// a time must not delay other clients. Under the worker pool each loris
-/// connection pins a worker for its whole dribble; under the reactor each
-/// costs a registered fd and a parser buffer, and honest requests keep
-/// their sub-threshold latency throughout.
+/// Slow-loris regression: a swarm of connections dribbling a request
+/// head one byte at a time must not delay other clients. Each loris
+/// connection costs a registered fd and a parser buffer, never a worker
+/// for longer than one byte takes to parse, so honest requests keep their
+/// sub-threshold latency throughout.
 #[test]
 fn slow_loris_does_not_delay_other_clients() {
     const LORIS_CONNS: usize = 32;
@@ -274,13 +265,13 @@ fn slow_loris_does_not_delay_other_clients() {
     let bed = reactor_bed(
         2,
         TestBedConfig {
-            // Far fewer miss-executor threads than loris connections: if
-            // the dribblers consumed threads, honest traffic would starve.
+            // Far fewer workers than loris connections: if the dribblers
+            // held workers, honest traffic would starve.
             proxy_workers: 4,
             ..TestBedConfig::default()
         },
     );
-    // Warm the doc so honest fetches are pure proxy hits (inline path).
+    // Warm the doc so honest fetches are pure proxy hits.
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
 
     let head: &[u8] = b"GET http://origin/doc/0 BAPS/1.0\r\nClient: 1\r\n\r\n";
@@ -309,7 +300,7 @@ fn slow_loris_does_not_delay_other_clients() {
 
     // Give the swarm time to connect and start dribbling.
     std::thread::sleep(Duration::from_millis(100));
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
+    let r = bed.proxy.reactor_stats().expect("serving-worker snapshot");
     assert!(
         r.registered_fds as usize > LORIS_CONNS / 2,
         "loris swarm is connected: {r:?}"
@@ -335,5 +326,67 @@ fn slow_loris_does_not_delay_other_clients() {
     for handle in loris {
         let _ = handle.join();
     }
+    bed.shutdown();
+}
+
+/// Bounded pipelining: a client that pipelines GETs for a cached 64 KiB
+/// document and never reads its replies must be throttled by its own
+/// socket buffers. The proxy parses no further frame while replies are
+/// queued on the connection, so it stops reading: the client's
+/// nonblocking writes stall for good before 16 MiB of requests, and the
+/// proxy has served only the replies the socket buffers hold. (A server
+/// that kept reading would keep accepting bytes and queueing replies.)
+#[test]
+fn pipelining_client_that_never_reads_is_throttled() {
+    const LIMIT: usize = 16 << 20;
+    const STALLED: Duration = Duration::from_secs(1);
+    let url = "http://origin/big";
+    let mut store = DocumentStore::new();
+    store.insert(url, vec![7u8; 64 << 10]);
+    let bed = TestBed::start(
+        store,
+        TestBedConfig {
+            n_clients: 1,
+            proxy_capacity: 1 << 20,
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts");
+    bed.clients[0].fetch(url).unwrap();
+    assert!(bed.proxy.cached_body(url).is_some(), "document is cached");
+    let before = bed.proxy.stats().proxy_hits;
+
+    let get =
+        encode_message(&Message::new(format!("GET {url} BAPS/1.0")).header("Client", "0")).unwrap();
+    let chunk: Vec<u8> = get.iter().copied().cycle().take(get.len() * 1024).collect();
+    let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
+    stream.set_nonblocking(true).unwrap();
+    let mut sent = 0usize;
+    let mut last_progress = Instant::now();
+    while last_progress.elapsed() < STALLED {
+        assert!(
+            sent < LIMIT,
+            "the proxy kept reading: {sent} bytes of GETs accepted"
+        );
+        let at = sent % chunk.len();
+        match (&stream).write(&chunk[at..]) {
+            Ok(n) => {
+                sent += n;
+                last_progress = Instant::now();
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("pipelining write failed: {e}"),
+        }
+    }
+    // Each served reply is 64 KiB; a few thousand would already be
+    // hundreds of MiB queued for a client that reads nothing.
+    let served = bed.proxy.stats().proxy_hits - before;
+    assert!(
+        served < 1024,
+        "{served} replies served to a client that never reads ({sent} request bytes sent)"
+    );
+    drop(stream);
     bed.shutdown();
 }
