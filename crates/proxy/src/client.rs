@@ -15,12 +15,12 @@
 //! tree with parent/child timing attribution.
 
 use crate::error::ProxyError;
-use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
-use crate::pool::{dial_with_deadline, WorkerPool};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
-    read_message, response, response_code, status, write_message, Body, Message,
+    dial_with_deadline, read_message, response, response_code, status, write_message, Body, Message,
 };
 use crate::proxy::{verb_index, PROXY_VERBS};
+use crate::reactor::{Answer, EpollServer};
 use crate::store::{BodyCache, CachedDoc};
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
 use baps_obs::{
@@ -32,7 +32,6 @@ use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a requester waits for a direct peer delivery before falling
@@ -45,16 +44,10 @@ const DELIVERY_TIMEOUT: Duration = Duration::from_secs(2);
 /// tier histograms, and recording each one measurably taxed the hot path.
 const SLOW_FETCH: Duration = Duration::from_millis(2);
 
-/// Worker threads serving this client's peer port. PEERGET/PUSH arrive on
-/// short-lived proxy connections and DELIVERY on one-shot pushes, so a
-/// small pool suffices.
+/// Serving workers of this client's peer port. A worker is held only
+/// while it answers a frame (a PUSH holds it for the delivery dial), so a
+/// few suffice however many dialers stay connected.
 const PEER_WORKERS: usize = 4;
-/// Accept backlog for the peer port.
-const PEER_BACKLOG: usize = 16;
-/// Read deadline on accepted peer-port connections: dialers (the proxy,
-/// delivering peers) send their request immediately, so a connection idle
-/// this long is a stalled or dead dialer and must not pin a peer worker.
-const PEER_SERVE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// What a tampering client serves its peers (test/fault hook; the honest
 /// value is [`TamperMode::Honest`]). Every dishonest mode must be caught
@@ -171,17 +164,15 @@ impl ProxyConn {
     }
 }
 
-/// A running client agent.
+/// A running client agent. Dropping it shuts it down.
 pub struct ClientAgent {
     id: u32,
     proxy_addr: SocketAddr,
     proxy_key: PublicKey,
     config: ClientConfig,
     state: Arc<ClientState>,
-    peer_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Acceptor thread for the peer port; returns the worker pool on exit.
-    handle: Option<JoinHandle<WorkerPool>>,
+    /// The peer port's acceptor and serving workers.
+    peer_server: EpollServer,
     /// The persistent keep-alive connection to the proxy, dialed lazily
     /// and redialed transparently when the proxy drops it.
     proxy_conn: Mutex<Option<ProxyConn>>,
@@ -242,8 +233,6 @@ impl ClientAgent {
         proxy_key: PublicKey,
         config: ClientConfig,
     ) -> Result<ClientAgent, ProxyError> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let peer_addr = listener.local_addr()?;
         let recorder = config
             .recorder
             .clone()
@@ -258,32 +247,15 @@ impl ClientAgent {
             faults: config.faults.clone(),
             recorder: Arc::clone(&recorder),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let pool = {
+        let peer_server = {
             let state = Arc::clone(&state);
-            WorkerPool::start(
+            EpollServer::start(
                 &format!("baps-client-{id}-peer"),
+                TcpListener::bind("127.0.0.1:0")?,
                 PEER_WORKERS,
-                PEER_BACKLOG,
-                move |stream| {
-                    let _ = serve_peer(stream, &state);
-                },
+                Arc::default(),
+                move |msg, _, _| serve_peer(msg, &state),
             )?
-        };
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name(format!("baps-client-{id}"))
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        pool.dispatch(stream);
-                    }
-                    pool
-                })?
         };
         let agent = ClientAgent {
             id,
@@ -291,9 +263,7 @@ impl ClientAgent {
             proxy_key,
             config,
             state,
-            peer_addr,
-            shutdown,
-            handle: Some(handle),
+            peer_server,
             proxy_conn: Mutex::new(None),
             pending_evictions: Mutex::new(Vec::new()),
             keep_alive: AtomicBool::new(true),
@@ -316,7 +286,7 @@ impl ClientAgent {
 
     /// The peer-serving address (for diagnostics).
     pub fn peer_addr(&self) -> SocketAddr {
-        self.peer_addr
+        self.peer_server.addr()
     }
 
     /// How many PEERGETs this client has served.
@@ -411,7 +381,7 @@ impl ClientAgent {
 
     fn register(&self) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
-            Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr.port()))
+            Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
                 .header("Client", self.id.to_string()),
         )?;
         if response_code(&reply) != Some(status::OK) {
@@ -818,14 +788,7 @@ impl ClientAgent {
                 "proxy closed connection",
             ))
         }
-        let trace = msg
-            .get("Trace-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(TraceId::NONE);
-        let parent = msg
-            .get("Span-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(SpanId::NONE);
+        let (trace, parent) = msg.trace_context();
         if !self.keep_alive.load(Ordering::Acquire) {
             let mut conn = self.dial_traced(trace, parent, "one-shot")?;
             return conn.exchange(msg)?.ok_or_else(hung_up);
@@ -850,8 +813,9 @@ impl ClientAgent {
                 // keep finding it. REGISTER is idempotent — against a
                 // merely-reaped connection it just refreshes the address.
                 if !matches!(msg.tokens().first(), Some(&"REGISTER")) {
-                    let reg = Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr.port()))
-                        .header("Client", self.id.to_string());
+                    let reg =
+                        Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
+                            .header("Client", self.id.to_string());
                     match conn.exchange(&reg)? {
                         Some(reply) if response_code(&reply) == Some(status::OK) => {}
                         _ => return Err(hung_up()),
@@ -872,31 +836,10 @@ impl ClientAgent {
         }
     }
 
-    /// Stops the peer-serving threads and closes the proxy connection.
+    /// Stops the peer port (its open connections see EOF) and closes the
+    /// proxy connection.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Close the keep-alive proxy connection so the proxy-side worker
-        // serving it is freed.
-        *self.proxy_conn.lock() = None;
-        // Wake the blocking accept; the acceptor hands the pool back.
-        let _ = TcpStream::connect(self.peer_addr);
-        if let Some(handle) = self.handle.take() {
-            if let Ok(pool) = handle.join() {
-                pool.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for ClientAgent {
-    fn drop(&mut self) {
-        self.stop();
+        self.peer_server.shutdown();
     }
 }
 
@@ -936,162 +879,137 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
 /// served PEERGET/PUSH (never for DELIVER or malformed requests):
 /// `PeerDrop` closes the connection without replying, `PeerRefuse`
 /// answers 410 as if the document were gone, and the wire faults
-/// (stall/truncate/corrupt) distort the otherwise-correct reply via
-/// [`write_reply_with_fault`].
-fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
-    // Dialers send their request immediately; an idle connection is a
-    // stalled or dead dialer that must not pin this worker forever.
-    stream.set_read_timeout(Some(PEER_SERVE_DEADLINE))?;
-    stream.set_write_timeout(Some(PEER_SERVE_DEADLINE))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    while let Some(msg) = read_message(&mut reader)? {
-        let tokens = msg.tokens();
-        // The proxy forwards the requester's trace id on PEERGET/PUSH and
-        // the pushing peer forwards it on DELIVER, so peer-side spans join
-        // the same trace as the client's fetch.
-        let trace = msg
-            .get("Trace-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(TraceId::NONE);
-        // For sampled traces the dialer (the proxy on PEERGET/PUSH, the
-        // pushing peer on DELIVER) forwards its own hop span; our serve
-        // span attaches under it, stitching the tree across processes.
-        let parent = msg
-            .get("Span-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(SpanId::NONE);
-        // Fault decisions apply only to requests we serve *to* peers.
-        let faultable = matches!(tokens.first(), Some(&"PEERGET") | Some(&"PUSH"));
-        let fault = match (faultable, state.faults.as_deref()) {
-            (true, Some(plan)) => plan.peer_fault(),
-            _ => None,
-        };
-        if fault == Some(FaultKind::PeerDrop) {
-            // Vanish mid-conversation: the dialer sees an abrupt EOF.
-            return Ok(());
-        }
-        let t_serve = Instant::now();
-        let serve_span = if parent.is_none() {
-            SpanId::NONE
-        } else {
-            SpanId::mint()
-        };
-        let reply = match tokens.as_slice() {
-            _ if fault == Some(FaultKind::PeerRefuse) => {
-                // Claim the document is gone even though we may hold it.
-                response(status::GONE, "Gone")
-            }
-            ["PEERGET", url, "BAPS/1.0"] => {
-                // Clone the handle out so the cache lock is dropped before
-                // the reply is built and written.
-                let doc = state.cache.lock().get(url).cloned();
-                let reply = match doc {
-                    Some(doc) => {
-                        state.peer_serves.fetch_add(1, Ordering::Relaxed);
-                        let (body, hex) =
-                            tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
-                        response(status::OK, "OK")
-                            .header("X-Watermark", hex)
-                            .with_body(body)
-                    }
-                    None => response(status::GONE, "Gone"),
-                };
-                state.recorder.record_hop(
-                    trace,
-                    serve_span,
-                    parent,
-                    EventKind::PeerServe,
-                    t_serve.elapsed(),
-                    format!(
-                        "client={} verb=PEERGET url={url} outcome={}",
-                        state.id,
-                        if response_code(&reply) == Some(status::OK) {
-                            "ok"
-                        } else {
-                            "gone"
-                        }
-                    ),
-                );
-                reply
-            }
-            ["PUSH", url, "BAPS/1.0"] => {
-                // Direct-forward order from the proxy: push the document to
-                // the requester's delivery address before acknowledging.
-                let txn = msg.get("Txn").map(str::to_owned);
-                let target = msg.get("Target").map(str::to_owned);
-                let reply = match (txn, target, state.cache.lock().get(url).cloned()) {
-                    (Some(txn), Some(target), Some(doc)) => {
-                        state.peer_serves.fetch_add(1, Ordering::Relaxed);
-                        let (body, hex) =
-                            tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
-                        match deliver_to(&target, url, &txn, &hex, body, trace, serve_span) {
-                            Ok(()) => response(status::OK, "OK"),
-                            Err(_) => response(status::GONE, "Delivery Failed"),
-                        }
-                    }
-                    (_, _, None) => response(status::GONE, "Gone"),
-                    _ => response(status::BAD_REQUEST, "Bad Request"),
-                };
-                state.recorder.record_hop(
-                    trace,
-                    serve_span,
-                    parent,
-                    EventKind::PeerServe,
-                    t_serve.elapsed(),
-                    format!(
-                        "client={} verb=PUSH url={url} outcome={}",
-                        state.id,
-                        if response_code(&reply) == Some(status::OK) {
-                            "ok"
-                        } else {
-                            "err"
-                        }
-                    ),
-                );
-                reply
-            }
-            ["DELIVER", url, "BAPS/1.0"] => {
-                // Incoming direct delivery for one of our own requests.
-                let parsed = msg.get("Txn").and_then(|t| t.parse::<u64>().ok()).zip(
-                    msg.get("X-Watermark")
-                        .and_then(|h| Watermark::from_hex(h).ok()),
-                );
-                match parsed {
-                    Some((txn, watermark)) => {
-                        state.deliveries.lock().insert(
-                            txn,
-                            CachedDoc {
-                                body: msg.body.clone(),
-                                watermark,
-                            },
-                        );
-                        state.delivered.notify_all();
-                        state.recorder.record_hop(
-                            trace,
-                            serve_span,
-                            parent,
-                            EventKind::Deliver,
-                            Duration::ZERO,
-                            format!("client={} url={url} txn={txn}", state.id),
-                        );
-                        response(status::OK, "OK")
-                    }
-                    None => response(status::BAD_REQUEST, "Bad Request"),
-                }
-            }
-            _ => response(status::BAD_REQUEST, "Bad Request"),
-        };
-        let stall = state
-            .faults
-            .as_deref()
-            .map(FaultPlan::stall)
-            .unwrap_or_default();
-        if !write_reply_with_fault(&mut writer, &reply, fault, stall)? {
-            return Ok(());
-        }
+/// (stall/truncate/corrupt) distort the otherwise-correct reply.
+fn serve_peer(msg: &Message, state: &ClientState) -> Answer {
+    let tokens = msg.tokens();
+    // The proxy forwards the requester's trace id on PEERGET/PUSH and the
+    // pushing peer forwards it on DELIVER, so peer-side spans join the
+    // same trace as the client's fetch. For sampled traces the dialer
+    // forwards its own hop span; our serve span attaches under it,
+    // stitching the tree across processes.
+    let (trace, parent) = msg.trace_context();
+    // Fault decisions apply only to requests we serve *to* peers.
+    let faultable = matches!(tokens.first(), Some(&"PEERGET") | Some(&"PUSH"));
+    let fault = match (faultable, state.faults.as_deref()) {
+        (true, Some(plan)) => plan.peer_fault(),
+        _ => None,
+    };
+    if fault == Some(FaultKind::PeerDrop) {
+        // Vanish mid-conversation: the dialer sees an abrupt EOF.
+        return Answer::Close;
     }
-    Ok(())
+    let t_serve = Instant::now();
+    let serve_span = if parent.is_none() {
+        SpanId::NONE
+    } else {
+        SpanId::mint()
+    };
+    let reply = match tokens.as_slice() {
+        _ if fault == Some(FaultKind::PeerRefuse) => {
+            // Claim the document is gone even though we may hold it.
+            response(status::GONE, "Gone")
+        }
+        ["PEERGET", url, "BAPS/1.0"] => {
+            // Clone the handle out so the cache lock is dropped before
+            // the reply is built and written.
+            let doc = state.cache.lock().get(url).cloned();
+            let reply = match doc {
+                Some(doc) => {
+                    state.peer_serves.fetch_add(1, Ordering::Relaxed);
+                    let (body, hex) =
+                        tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
+                    response(status::OK, "OK")
+                        .header("X-Watermark", hex)
+                        .with_body(body)
+                }
+                None => response(status::GONE, "Gone"),
+            };
+            state.recorder.record_hop(
+                trace,
+                serve_span,
+                parent,
+                EventKind::PeerServe,
+                t_serve.elapsed(),
+                format!(
+                    "client={} verb=PEERGET url={url} outcome={}",
+                    state.id,
+                    if response_code(&reply) == Some(status::OK) {
+                        "ok"
+                    } else {
+                        "gone"
+                    }
+                ),
+            );
+            reply
+        }
+        ["PUSH", url, "BAPS/1.0"] => {
+            // Direct-forward order from the proxy: push the document to
+            // the requester's delivery address before acknowledging.
+            let txn = msg.get("Txn").map(str::to_owned);
+            let target = msg.get("Target").map(str::to_owned);
+            let reply = match (txn, target, state.cache.lock().get(url).cloned()) {
+                (Some(txn), Some(target), Some(doc)) => {
+                    state.peer_serves.fetch_add(1, Ordering::Relaxed);
+                    let (body, hex) =
+                        tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
+                    match deliver_to(&target, url, &txn, &hex, body, trace, serve_span) {
+                        Ok(()) => response(status::OK, "OK"),
+                        Err(_) => response(status::GONE, "Delivery Failed"),
+                    }
+                }
+                (_, _, None) => response(status::GONE, "Gone"),
+                _ => response(status::BAD_REQUEST, "Bad Request"),
+            };
+            state.recorder.record_hop(
+                trace,
+                serve_span,
+                parent,
+                EventKind::PeerServe,
+                t_serve.elapsed(),
+                format!(
+                    "client={} verb=PUSH url={url} outcome={}",
+                    state.id,
+                    if response_code(&reply) == Some(status::OK) {
+                        "ok"
+                    } else {
+                        "err"
+                    }
+                ),
+            );
+            reply
+        }
+        ["DELIVER", url, "BAPS/1.0"] => {
+            // Incoming direct delivery for one of our own requests.
+            let parsed = msg.get("Txn").and_then(|t| t.parse::<u64>().ok()).zip(
+                msg.get("X-Watermark")
+                    .and_then(|h| Watermark::from_hex(h).ok()),
+            );
+            match parsed {
+                Some((txn, watermark)) => {
+                    state.deliveries.lock().insert(
+                        txn,
+                        CachedDoc {
+                            body: msg.body.clone(),
+                            watermark,
+                        },
+                    );
+                    state.delivered.notify_all();
+                    state.recorder.record_hop(
+                        trace,
+                        serve_span,
+                        parent,
+                        EventKind::Deliver,
+                        Duration::ZERO,
+                        format!("client={} url={url} txn={txn}", state.id),
+                    );
+                    response(status::OK, "OK")
+                }
+                None => response(status::BAD_REQUEST, "Bad Request"),
+            }
+        }
+        _ => response(status::BAD_REQUEST, "Bad Request"),
+    };
+    Answer::with_fault(reply, fault, state.faults.as_deref())
 }
 
 /// Connects to a requester's delivery address and pushes the document.

@@ -117,7 +117,7 @@ impl ProxyWindows {
 /// One cumulative capture of everything the SLO rules consume.
 fn capture_values(state: &ProxyState) -> Vec<u64> {
     let s = state.stats();
-    let sat = state.telemetry.snapshot();
+    let sat = state.telemetry.saturation();
     let mut v = Vec::with_capacity(schema().width());
     v.push(s.requests);
     v.push(s.errors);
@@ -615,7 +615,7 @@ pub(crate) fn evaluate(state: &ProxyState) -> HealthReport {
 /// span — "no data" is not an alert.
 fn measure(state: &ProxyState, rule: &SloRule) -> (f64, u64) {
     if rule.signal == SloSignal::ReactorReadyDepth {
-        let depth = state.telemetry.snapshot().busy_workers_peak;
+        let depth = state.telemetry.saturation().busy_workers_peak;
         return (depth as f64, 0);
     }
     let Some(w) = state.windows.ring().window(rule.window_secs) else {

@@ -1,11 +1,16 @@
 //! # baps-proxy — the live browsers-aware proxy
 //!
-//! A working, threaded implementation of the paper's system over loopback
-//! TCP: an [`OriginServer`] serving a document corpus, a [`ProxyServer`]
-//! that maintains the browser index and mediates anonymous peer fetches,
-//! and [`ClientAgent`]s with LRU browser caches that serve `PEERGET`
-//! requests, send eviction invalidations, and verify the §6.1 digital
-//! watermark on every document they receive.
+//! A working implementation of the paper's system over loopback TCP: an
+//! [`OriginServer`] serving a document corpus, a [`ProxyServer`] that
+//! maintains the browser index and mediates anonymous peer fetches, and
+//! [`ClientAgent`]s with LRU browser caches that serve `PEERGET` requests,
+//! send eviction invalidations, and verify the §6.1 digital watermark on
+//! every document they receive.
+//!
+//! All three serve their connections the same way (DESIGN.md §13): a fixed
+//! set of workers waits in epoll, and each server supplies only the
+//! handler that answers one request frame. An idle connection costs an fd,
+//! never a thread.
 //!
 //! The [`TestBed`] harness wires a full deployment onto ephemeral ports for
 //! the integration tests and the `live_proxy` example.
@@ -31,7 +36,6 @@ pub mod fault;
 pub mod health;
 mod metrics;
 pub mod origin;
-pub mod pool;
 pub mod protocol;
 pub mod proxy;
 mod reactor;
@@ -46,12 +50,12 @@ pub use error::ProxyError;
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
 pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
-pub use pool::{dial_with_deadline, ConnRegistry, PoolTelemetry, SaturationSnapshot, WorkerPool};
 pub use protocol::{
-    encode_message, read_message, response_code, write_message, Body, FrameParser, Message,
+    dial_with_deadline, encode_message, read_message, response_code, write_message, Body,
+    FrameParser, Message,
 };
 pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
-pub use reactor::{ReactorSnapshot, ACCEPT_BACKOFF, IO_MODEL};
+pub use reactor::{ReactorSnapshot, SaturationSnapshot, ACCEPT_BACKOFF, IO_MODEL};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};
 pub use store::{BodyCache, CachedDoc, DocumentStore};

@@ -256,7 +256,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     // Serving workers (DESIGN.md §13): how many there are, how many are
     // inside a claimed connection, and how long a new connection waits
     // from accept to its first service.
-    let sat = state.telemetry.snapshot();
+    let sat = state.telemetry.saturation();
     out.gauge(
         "baps_workers",
         "Worker threads serving client connections.",
@@ -299,7 +299,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.histogram("baps_queue_wait_ms", &[], &sat.queue_wait);
 
-    let r = crate::reactor::snapshot(state);
+    let r = crate::proxy::reactor_snapshot(state);
     out.gauge(
         "baps_reactor_registered_fds",
         "Connections currently registered in the epoll set.",

@@ -67,16 +67,18 @@
 //! treat as the end of the session. Clients hold one lazily-dialed
 //! connection to the proxy and transparently redial (replaying the
 //! in-flight request once) when the proxy drops it; the proxy keeps a pool
-//! of kept-alive origin connections the same way. The origin and client
-//! peer servers run a fixed worker pool, so each open connection occupies
-//! one worker until it closes (see [`crate::pool`]); the proxy parks idle
-//! connections in epoll instead and feeds a [`FrameParser`] per
-//! connection (DESIGN.md §13).
+//! of kept-alive origin connections the same way. Every server (proxy,
+//! origin, client peer port) parks idle connections in epoll and feeds a
+//! [`FrameParser`] per connection, so an open connection costs an fd, not
+//! a thread (DESIGN.md §13).
 //!
 //! [`ProxyCounters`]: crate::proxy::ProxyCounters
 
+use baps_obs::{SpanId, TraceId};
 use std::io::{self, BufRead, IoSlice, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Maximum accepted header count (straightforward DoS hygiene).
 pub const MAX_HEADERS: usize = 64;
@@ -141,6 +143,39 @@ impl Message {
     pub fn tokens(&self) -> Vec<&str> {
         self.start.split_ascii_whitespace().collect()
     }
+
+    /// The trace this message belongs to and the sender's hop span: the
+    /// `Trace-Id` and `Span-Id` headers, each [`TraceId::NONE`] /
+    /// [`SpanId::NONE`] when absent or malformed (administrative verbs
+    /// carry neither; unsampled traces carry no span).
+    pub fn trace_context(&self) -> (TraceId, SpanId) {
+        (
+            self.get("Trace-Id")
+                .and_then(|h| h.parse().ok())
+                .unwrap_or(TraceId::NONE),
+            self.get("Span-Id")
+                .and_then(|h| h.parse().ok())
+                .unwrap_or(SpanId::NONE),
+        )
+    }
+}
+
+/// Dials `addr` with `deadline` as the connect timeout and installs it as
+/// the read/write timeout on the resulting stream, so no later blocking
+/// operation on this socket can outlive it. `Duration::ZERO` disables the
+/// deadline entirely (plain blocking connect, no socket timeouts).
+pub fn dial_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> {
+    let stream = if deadline.is_zero() {
+        TcpStream::connect(addr)?
+    } else {
+        TcpStream::connect_timeout(&addr, deadline)?
+    };
+    stream.set_nodelay(true)?;
+    if !deadline.is_zero() {
+        stream.set_read_timeout(Some(deadline))?;
+        stream.set_write_timeout(Some(deadline))?;
+    }
+    Ok(stream)
 }
 
 /// Writes a message, framing the body with exactly one `Content-Length`.

@@ -14,13 +14,15 @@
 //! `METRICS BAPS/1.0` verb renders all of it as Prometheus text.
 
 use crate::disk::{DiskConfig, DiskStats, DiskTier};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
-use crate::pool::{dial_with_deadline, PoolTelemetry, SaturationSnapshot, DEFAULT_WORKERS};
 use crate::protocol::{
-    read_message, response, response_code, status, write_message, Body, Message,
+    dial_with_deadline, read_message, response, response_code, status, write_message, Body, Message,
 };
-use crate::reactor::{EpollServer, ReactorSnapshot, ReactorTelemetry, IO_MODEL};
+use crate::reactor::{
+    Answer, EpollServer, ReactorSnapshot, SaturationSnapshot, ServeTelemetry, DEFAULT_WORKERS,
+    IO_MODEL,
+};
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use baps_crypto::{AnonymizingProxy, PeerId, ProxySigner, PublicKey, Watermark};
@@ -33,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -72,7 +74,8 @@ pub struct ProxyConfig {
     /// wait in epoll, not on one connection, so this bounds how many
     /// requests are served at once (a miss holds its worker for the whole
     /// disk, peer or origin fetch), not how many clients stay connected.
-    /// `0` uses the library default.
+    /// It also caps the pooled origin connections. `0` uses the library
+    /// default.
     pub worker_threads: usize,
     /// Dial/read/write deadline for peer probes (`Duration::ZERO` falls
     /// back to the built-in default).
@@ -161,9 +164,6 @@ pub struct ProxyCounters {
     /// counter is the diagnostic overlay saying how many of those were
     /// coalesced.
     pub coalesced_fetches: AtomicU64,
-    /// `accept` calls that failed (fd exhaustion and the like); each one
-    /// is followed by a short backoff instead of an immediate retry.
-    pub accept_errors: AtomicU64,
 }
 
 impl ProxyCounters {
@@ -190,7 +190,9 @@ impl ProxyCounters {
             peer_fallbacks: self.peer_fallbacks.load(Ordering::Relaxed),
             errors,
             coalesced_fetches: self.coalesced_fetches.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
+            // Counted by the serving workers, not here (`ProxyServer::stats`
+            // folds it in).
+            accept_errors: 0,
         }
     }
 }
@@ -229,7 +231,8 @@ pub struct ProxyStats {
     /// diagnostic overlay on `proxy_hits`/`errors`, outside the balance
     /// identity).
     pub coalesced_fetches: u64,
-    /// Failed `accept` calls (outside the balance identity).
+    /// Failed `accept` calls (outside the balance identity); each one is
+    /// followed by a short backoff instead of an immediate retry.
     pub accept_errors: u64,
 }
 
@@ -319,11 +322,9 @@ pub(crate) struct ProxyState {
     pub(crate) disk: Option<DiskTier>,
     /// Idle keep-alive connections to the origin, reused across fetches.
     origin_pool: Mutex<Vec<OriginConn>>,
-    /// Serving-worker saturation: worker count, busy workers, and the
-    /// accept-to-first-service queue (DESIGN.md §13).
-    pub(crate) telemetry: PoolTelemetry,
-    /// Registered connections and worker busy time.
-    pub(crate) reactor: ReactorTelemetry,
+    /// The serving workers' gauges: saturation, registered connections,
+    /// busy time and failed accepts (DESIGN.md §13).
+    pub(crate) telemetry: Arc<ServeTelemetry>,
     /// Per-document in-flight miss registry (thundering-herd coalescing):
     /// the first miss for a doc becomes the leader and fetches; concurrent
     /// misses park on the entry's condvar and share the leader's outcome.
@@ -339,7 +340,11 @@ impl ProxyState {
     /// persisted baseline. The balance identity holds (see
     /// [`ProxyStats::offset_by`]).
     pub(crate) fn stats(&self) -> ProxyStats {
-        self.counters.snapshot().offset_by(&self.baseline)
+        ProxyStats {
+            accept_errors: self.telemetry.accept_errors(),
+            ..self.counters.snapshot()
+        }
+        .offset_by(&self.baseline)
     }
 
     /// In-flight coalescing entries open right now (flight-registry
@@ -376,15 +381,13 @@ impl ProxyServer {
 
     /// Starts the proxy on an already-bound listener (the restart path
     /// reuses the previous incarnation's socket).
-    fn start_on(listener: TcpListener, config: ProxyConfig) -> io::Result<ProxyServer> {
+    fn start_on(listener: TcpListener, mut config: ProxyConfig) -> io::Result<ProxyServer> {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(config.key_seed));
-        let workers = if config.worker_threads == 0 {
-            DEFAULT_WORKERS
-        } else {
-            config.worker_threads
-        };
+        if config.worker_threads == 0 {
+            config.worker_threads = DEFAULT_WORKERS;
+        }
         let recorder = config
             .recorder
             .clone()
@@ -416,8 +419,7 @@ impl ProxyServer {
             },
             disk,
             origin_pool: Mutex::new(Vec::new()),
-            telemetry: PoolTelemetry::new(),
-            reactor: ReactorTelemetry::new(),
+            telemetry: Arc::default(),
             inflight: Mutex::new(HashMap::new()),
             windows: ProxyWindows::new(),
         });
@@ -437,12 +439,16 @@ impl ProxyServer {
                     }
                 })?
         };
-        let server = EpollServer::start(
-            "baps-proxy",
-            listener.try_clone()?,
-            workers,
-            Arc::clone(&state),
-        )?;
+        let server = {
+            let state = Arc::clone(&state);
+            EpollServer::start(
+                "baps-proxy",
+                listener.try_clone()?,
+                state.config.worker_threads,
+                Arc::clone(&state.telemetry),
+                move |msg, peer_ip, queue_wait| serve(msg, peer_ip, queue_wait, &state),
+            )?
+        };
         Ok(ProxyServer {
             addr,
             shutdown,
@@ -538,7 +544,7 @@ impl ProxyServer {
 
     /// Client connections currently registered in the epoll set.
     pub fn open_connections(&self) -> usize {
-        self.state.reactor.registered()
+        self.state.telemetry.registered()
     }
 
     /// Runtime-saturation snapshot of the serving workers: configured
@@ -547,14 +553,14 @@ impl ProxyServer {
     /// registration, and the accept-to-first-service wait histogram
     /// (DESIGN.md §13).
     pub fn saturation(&self) -> SaturationSnapshot {
-        self.state.telemetry.snapshot()
+        self.state.telemetry.saturation()
     }
 
     /// Serving-worker snapshot: registered fds (current and peak), claimed
     /// readiness events, worker busy fraction, and memory/admin versus
     /// disk/peer/origin answers. Always `Some`.
     pub fn reactor_stats(&self) -> Option<ReactorSnapshot> {
-        Some(crate::reactor::snapshot(&self.state))
+        Some(reactor_snapshot(&self.state))
     }
 
     /// Entries currently in the in-flight miss registry (thundering-herd
@@ -695,24 +701,50 @@ fn load_baseline(root: &std::path::Path) -> ProxyStats {
     s
 }
 
-pub(crate) fn dispatch(
+/// The serving workers' handler: one proxy-site fault decision per
+/// client-facing GET (drawn in arrival order), then [`dispatch`], timed
+/// into the per-verb histograms.
+fn serve(
     msg: &Message,
-    peer_ip: std::net::IpAddr,
+    peer_ip: IpAddr,
     queue_wait: &mut Option<Duration>,
     state: &ProxyState,
-) -> Option<Message> {
+) -> Answer {
+    // The administrative verbs stay honest so chaos runs can still
+    // register clients and read counters.
+    let faults = state.config.faults.as_deref();
+    let fault = match (msg.tokens().first(), faults) {
+        (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
+        _ => None,
+    };
+    if fault == Some(FaultKind::ProxyDrop) {
+        // Sever before handling: the client sees EOF, redials, and
+        // replays; the request is never counted.
+        return Answer::Close;
+    }
+    let t_verb = Instant::now();
+    let reply = dispatch(msg, peer_ip, queue_wait, state);
+    state
+        .obs
+        .verbs
+        .record(verb_index(msg.tokens().first()), t_verb.elapsed());
+    Answer::with_fault(reply, fault, faults)
+}
+
+/// Answers one request. A request the proxy cannot act on (unknown verb,
+/// missing or malformed `Client` header or port) is answered `400 Bad
+/// Request`, never left without a reply.
+fn dispatch(
+    msg: &Message,
+    peer_ip: IpAddr,
+    queue_wait: &mut Option<Duration>,
+    state: &ProxyState,
+) -> Message {
     // The client mints a trace id per logical fetch and stamps every hop;
     // administrative verbs and legacy clients simply have none. For
     // head-sampled traces the `Span-Id` header carries the upstream span
     // every proxy-side span of this request attaches to.
-    let trace = msg
-        .get("Trace-Id")
-        .and_then(|h| h.parse().ok())
-        .unwrap_or(TraceId::NONE);
-    let parent = msg
-        .get("Span-Id")
-        .and_then(|h| h.parse().ok())
-        .unwrap_or(SpanId::NONE);
+    let (trace, parent) = msg.trace_context();
     if span::sampled(trace) {
         if let Some(wait) = queue_wait.take() {
             state.obs.recorder.record_span(
@@ -725,9 +757,13 @@ pub(crate) fn dispatch(
             );
         }
     }
+    let bad_request = || response(status::BAD_REQUEST, "Bad Request");
+    let client = || msg.get("Client").and_then(|c| c.parse::<u32>().ok());
     match msg.tokens().as_slice() {
         ["GET", url, "BAPS/1.0"] => {
-            let client: u32 = msg.get("Client")?.parse().ok()?;
+            let Some(client) = client() else {
+                return bad_request();
+            };
             // Piggybacked eviction notices (processed before the GET so a
             // re-fetch of a just-evicted document is ordered correctly).
             if let Some(evicted) = msg.get("Evicted") {
@@ -736,10 +772,12 @@ pub(crate) fn dispatch(
                 }
             }
             let bypass = msg.get("Bypass-Peers").is_some();
-            Some(handle_get(url, client, bypass, trace, parent, state))
+            handle_get(url, client, bypass, trace, parent, state)
         }
         ["INVALIDATE", url, "BAPS/1.0"] => {
-            let client: u32 = msg.get("Client")?.parse().ok()?;
+            let Some(client) = client() else {
+                return bad_request();
+            };
             // `Purge: 1` marks a *publisher* invalidation: the document
             // changed at the origin, so the proxy's own replicas must go
             // too, not just the sender's index entry.
@@ -747,50 +785,60 @@ pub(crate) fn dispatch(
                 handle_purge(url, trace, state);
             }
             handle_invalidate(url, client, trace, state);
-            Some(response(status::OK, "OK"))
+            response(status::OK, "OK")
         }
         ["REGISTER", port, "BAPS/1.0"] => {
-            let client: u32 = msg.get("Client")?.parse().ok()?;
-            let port: u16 = port.parse().ok()?;
+            let (Some(client), Ok(port)) = (client(), port.parse::<u16>()) else {
+                return bad_request();
+            };
             state
                 .peers
                 .write()
                 .insert(client, SocketAddr::new(peer_ip, port));
-            Some(response(status::OK, "OK"))
+            response(status::OK, "OK")
         }
-        ["STATS", "BAPS/1.0"] => Some(stats_response(state)),
+        ["STATS", "BAPS/1.0"] => stats_response(state),
         ["TRACE", "BAPS/1.0"] => {
             let body = state.obs.recorder.dump_spans();
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "application/jsonl")
-                    .header("Sample-One-In", span::SAMPLE_ONE_IN.to_string())
-                    .with_body(body.into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "application/jsonl")
+                .header("Sample-One-In", span::SAMPLE_ONE_IN.to_string())
+                .with_body(body.into_bytes())
         }
         ["METRICS", "BAPS/1.0"] => {
             let text = crate::metrics::render(state);
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "text/plain; version=0.0.4")
-                    .with_body(text.into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "text/plain; version=0.0.4")
+                .with_body(text.into_bytes())
         }
         ["HEALTH", "BAPS/1.0"] => {
             state.windows.force_capture(state);
             let report = crate::health::evaluate(state);
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "text/plain")
-                    .header("Verdict", report.verdict.name())
-                    .header("Rules", report.rules.len().to_string())
-                    .header("Uptime-Seconds", report.uptime_secs.to_string())
-                    .header("Io-Mode", IO_MODEL)
-                    .with_body(report.render().into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "text/plain")
+                .header("Verdict", report.verdict.name())
+                .header("Rules", report.rules.len().to_string())
+                .header("Uptime-Seconds", report.uptime_secs.to_string())
+                .header("Io-Mode", IO_MODEL)
+                .with_body(report.render().into_bytes())
         }
-        _ => Some(response(status::BAD_REQUEST, "Bad Request")),
+        _ => bad_request(),
     }
+}
+
+/// The serving workers' snapshot for this proxy incarnation. Memory hits
+/// and administrative verbs count as answered inline; disk, peer and
+/// origin answers as offloaded.
+pub(crate) fn reactor_snapshot(state: &ProxyState) -> ReactorSnapshot {
+    let served = state.counters.snapshot();
+    let admin: u64 = (0..PROXY_VERBS.len())
+        .filter(|&i| PROXY_VERBS[i] != "GET")
+        .map(|i| state.obs.verbs.snapshot(i).count())
+        .sum();
+    state.telemetry.reactor(
+        served.proxy_hits + admin,
+        served.disk_hits + served.peer_hits + served.origin_fetches,
+    )
 }
 
 /// Mints a span id for one proxy-side hop of a head-sampled trace
@@ -1469,8 +1517,8 @@ fn handle_invalidate(url: &str, client: u32, trace: TraceId, state: &ProxyState)
 fn stats_response(state: &ProxyState) -> Message {
     let s = state.stats();
     let disk = state.disk.as_ref().map(DiskTier::stats).unwrap_or_default();
-    let sat = state.telemetry.snapshot();
-    let r = crate::reactor::snapshot(state);
+    let sat = state.telemetry.saturation();
+    let r = reactor_snapshot(state);
     response(status::OK, "OK")
         .header("Io-Mode", IO_MODEL)
         .header("Reactor-Fds", r.registered_fds.to_string())
@@ -1764,13 +1812,8 @@ fn origin_attempt(
     };
     // Any fully framed reply (404s and 500s included) leaves the
     // connection in sync and reusable.
-    let cap = if state.config.worker_threads == 0 {
-        crate::pool::DEFAULT_WORKERS
-    } else {
-        state.config.worker_threads
-    };
     let mut pool = state.origin_pool.lock();
-    if pool.len() < cap {
+    if pool.len() < state.config.worker_threads {
         pool.push(conn);
     }
     drop(pool);

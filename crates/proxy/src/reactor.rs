@@ -1,16 +1,18 @@
-//! The proxy's one connection-serving model (DESIGN.md §13): a fixed pool
-//! of workers that wait in epoll.
+//! The one connection-serving model of every server in this crate: the
+//! proxy, the origin and each client's peer port (DESIGN.md §13). A fixed
+//! pool of workers waits in epoll.
 //!
 //! - The **acceptor** thread blocks in `accept`, makes each socket
 //!   nonblocking and registers it in one shared epoll set with
 //!   `EPOLLONESHOT`. A failed `accept` (say, fd exhaustion) is counted in
-//!   `accept_errors` and followed by a short fixed backoff, never a spin.
-//! - `worker_threads` **workers** block in `epoll_wait`, one event at a
-//!   time. One-shot arming means exactly one worker claims a ready
-//!   connection. It reads without blocking into the connection's
-//!   [`FrameParser`] and serves each complete frame itself through the
-//!   unchanged `dispatch`: a memory hit and a disk, peer or origin miss
-//!   alike, with no hand-off to another thread.
+//!   the server's telemetry and followed by a short fixed backoff, never a
+//!   spin.
+//! - The **workers** block in `epoll_wait`, one event at a time. One-shot
+//!   arming means exactly one worker claims a ready connection. It reads
+//!   without blocking into the connection's [`FrameParser`] and serves
+//!   each complete frame itself through the server's handler: a proxy
+//!   memory hit and a disk, peer or origin miss alike, with no hand-off to
+//!   another thread.
 //! - Replies are queued as `[owned head, shared body]` segments and pushed
 //!   with nonblocking vectored writes. A reply the socket cannot take at
 //!   once parks the connection on `EV_WRITE`. No further frame is parsed
@@ -20,11 +22,13 @@
 //!   waiting. An idle or dribbling connection costs an fd and a parser
 //!   buffer, not a thread.
 //!
-//! Fault injection goes through the same [`write_reply_with_fault`] as the
-//! blocking servers: a drop severs before handling, a stall sleeps the
-//! serving worker mid-frame, a truncation closes after the half frame
-//! flushes.
+//! The handler is the only thing a server brings. It answers each request
+//! frame with an [`Answer`]: a reply, a reply distorted by a wire fault, or
+//! a close. Every frame gets one of the three. Wire faults go through
+//! [`write_reply_with_fault`]: a stall sleeps the serving worker mid-frame,
+//! a truncation closes after the half frame flushes.
 
+use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -37,7 +41,6 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
 use crate::protocol::{encode_head, Body, FrameParser, Message};
-use crate::proxy::{dispatch, verb_index, ProxyState, PROXY_VERBS};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_ONESHOT, EV_RDHUP, EV_READ, EV_WRITE};
 
 /// Name of the serving model, reported in the STATS and HEALTH `Io-Mode`
@@ -49,6 +52,9 @@ pub const IO_MODEL: &str = "epoll-workers";
 /// pending connection stays queued and every retry fails at once; the
 /// backoff turns that into at most one attempt per interval.
 pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Serving workers of a server started without an explicit count.
+pub(crate) const DEFAULT_WORKERS: usize = 8;
 
 /// Token of the stop eventfd (never a connection token).
 const STOP_TOKEN: u64 = u64::MAX;
@@ -62,47 +68,108 @@ const WANT_READ: u32 = EV_READ | EV_RDHUP | EV_ONESHOT;
 const WANT_WRITE: u32 = EV_WRITE | EV_ONESHOT;
 
 // ---------------------------------------------------------------------------
+// The handler contract
+// ---------------------------------------------------------------------------
+
+/// What a server's handler makes of one request frame.
+pub(crate) enum Answer {
+    /// Queue this reply.
+    Reply(Message),
+    /// Queue this reply, distorted on the way out by the fault's wire
+    /// effect (stall for the given time, truncate, corrupt).
+    Faulted(Message, FaultKind, Duration),
+    /// Close the connection without a reply.
+    Close,
+}
+
+impl Answer {
+    /// `reply` under the fault drawn for it from `plan`, if any. Faults
+    /// without a wire effect leave the reply as it is.
+    pub(crate) fn with_fault(
+        reply: Message,
+        fault: Option<FaultKind>,
+        plan: Option<&FaultPlan>,
+    ) -> Answer {
+        match fault {
+            Some(kind) if kind.wire().is_some() => {
+                Answer::Faulted(reply, kind, plan.map(FaultPlan::stall).unwrap_or_default())
+            }
+            _ => Answer::Reply(reply),
+        }
+    }
+}
+
+/// A server's per-frame handler: the request, the address of the peer
+/// that sent it, and the connection's accept-to-first-service wait (the
+/// proxy takes it for the first sampled request's `queue-wait` span).
+type Handler = dyn Fn(&Message, IpAddr, &mut Option<Duration>) -> Answer + Send + Sync;
+
+// ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Always-on gauges of the serving workers that [`crate::pool::PoolTelemetry`]
-/// does not already hold: registered connections and worker busy time.
-/// (`PoolTelemetry` keeps the worker count, busy workers and queue wait.)
+/// Always-on gauges of one server's serving workers: worker count, busy
+/// workers, connections awaiting a first service and how long they wait,
+/// registered connections, worker busy time and failed accepts.
+///
+/// All fields are plain relaxed atomics recorded unconditionally:
+/// saturation data must exist even when the overhead benchmark turns
+/// event recording off, and a handful per claimed event stays inside the
+/// always-on budget.
 #[derive(Debug)]
-pub(crate) struct ReactorTelemetry {
+pub(crate) struct ServeTelemetry {
+    workers: AtomicU64,
+    queued: AtomicU64,
+    queued_peak: AtomicU64,
+    busy: AtomicU64,
+    busy_peak: AtomicU64,
+    rejected: AtomicU64,
+    queue_wait: AtomicHistogram,
     registered: AtomicU64,
     registered_peak: AtomicU64,
     ready_events: AtomicU64,
     busy_nanos: AtomicU64,
+    accept_errors: AtomicU64,
     started: Instant,
 }
 
-impl ReactorTelemetry {
-    pub(crate) fn new() -> ReactorTelemetry {
-        ReactorTelemetry {
+impl Default for ServeTelemetry {
+    fn default() -> ServeTelemetry {
+        ServeTelemetry {
+            workers: AtomicU64::new(0),
+            queued: AtomicU64::new(0),
+            queued_peak: AtomicU64::new(0),
+            busy: AtomicU64::new(0),
+            busy_peak: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            queue_wait: AtomicHistogram::default(),
             registered: AtomicU64::new(0),
             registered_peak: AtomicU64::new(0),
             ready_events: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
+}
 
-    fn conn_registered(&self) {
-        let now = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
-        if now > self.registered_peak.load(Ordering::Relaxed) {
-            self.registered_peak.fetch_max(now, Ordering::Relaxed);
-        }
-    }
-
-    fn conn_closed(&self) {
-        self.registered.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Client connections currently registered in the epoll set.
-    pub(crate) fn registered(&self) -> usize {
-        self.registered.load(Ordering::Relaxed) as usize
-    }
+/// A point-in-time copy of a server's worker saturation.
+#[derive(Debug, Clone)]
+pub struct SaturationSnapshot {
+    /// Configured serving workers.
+    pub workers: u64,
+    /// Connections accepted but not yet served a first time.
+    pub queue_depth: u64,
+    /// Most connections awaiting a first service at once since start.
+    pub queue_depth_peak: u64,
+    /// Workers currently serving a claimed connection.
+    pub busy_workers: u64,
+    /// Most workers simultaneously busy since start.
+    pub busy_workers_peak: u64,
+    /// Accepted connections that could not be registered with epoll.
+    pub rejected: u64,
+    /// Time from accept to a connection's first service.
+    pub queue_wait: LatencyHistogram,
 }
 
 /// A point-in-time view of the serving workers, surfaced via
@@ -128,24 +195,71 @@ pub struct ReactorSnapshot {
     pub busy_fraction: f64,
 }
 
-/// The serving workers' snapshot for this proxy incarnation.
-pub(crate) fn snapshot(state: &ProxyState) -> ReactorSnapshot {
-    let t = &state.reactor;
-    let served = state.counters.snapshot();
-    let admin: u64 = (0..PROXY_VERBS.len())
-        .filter(|&i| PROXY_VERBS[i] != "GET")
-        .map(|i| state.obs.verbs.snapshot(i).count())
-        .sum();
-    let workers = state.telemetry.snapshot().workers.max(1);
-    let elapsed = t.started.elapsed().as_nanos().max(1) as f64;
-    let busy = t.busy_nanos.load(Ordering::Relaxed) as f64;
-    ReactorSnapshot {
-        registered_fds: t.registered.load(Ordering::Relaxed),
-        registered_fds_peak: t.registered_peak.load(Ordering::Relaxed),
-        ready_events: t.ready_events.load(Ordering::Relaxed),
-        inline_served: served.proxy_hits + admin,
-        offloaded: served.disk_hits + served.peer_hits + served.origin_fetches,
-        busy_fraction: (busy / (elapsed * workers as f64)).min(1.0),
+fn raise_peak(peak: &AtomicU64, value: u64) {
+    // Same cheap discipline as `AtomicHistogram::record_ms`: skip the CAS
+    // loop unless this is actually a new peak.
+    if value > peak.load(Ordering::Relaxed) {
+        peak.fetch_max(value, Ordering::Relaxed);
+    }
+}
+
+impl ServeTelemetry {
+    fn registered_conn(&self) {
+        let now = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
+        raise_peak(&self.registered_peak, now);
+        let depth = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        raise_peak(&self.queued_peak, depth);
+    }
+
+    fn closed_conn(&self, ever_served: bool) {
+        self.registered.fetch_sub(1, Ordering::Relaxed);
+        if !ever_served {
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    fn first_service(&self, wait: Duration) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.queue_wait.record(wait);
+    }
+
+    /// Connections currently registered in the epoll set.
+    pub(crate) fn registered(&self) -> usize {
+        self.registered.load(Ordering::Relaxed) as usize
+    }
+
+    /// Failed `accept` calls since start.
+    pub(crate) fn accept_errors(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
+    }
+
+    /// Worker count, busy workers, first-service queue and its waits.
+    pub(crate) fn saturation(&self) -> SaturationSnapshot {
+        SaturationSnapshot {
+            workers: self.workers.load(Ordering::Relaxed),
+            queue_depth: self.queued.load(Ordering::Relaxed),
+            queue_depth_peak: self.queued_peak.load(Ordering::Relaxed),
+            busy_workers: self.busy.load(Ordering::Relaxed),
+            busy_workers_peak: self.busy_peak.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            queue_wait: self.queue_wait.snapshot(),
+        }
+    }
+
+    /// Registered fds, claimed events and busy fraction; the caller
+    /// supplies its own split of answers into inline and offloaded.
+    pub(crate) fn reactor(&self, inline_served: u64, offloaded: u64) -> ReactorSnapshot {
+        let workers = self.workers.load(Ordering::Relaxed).max(1) as f64;
+        let elapsed = self.started.elapsed().as_nanos().max(1) as f64;
+        let busy = self.busy_nanos.load(Ordering::Relaxed) as f64;
+        ReactorSnapshot {
+            registered_fds: self.registered.load(Ordering::Relaxed),
+            registered_fds_peak: self.registered_peak.load(Ordering::Relaxed),
+            ready_events: self.ready_events.load(Ordering::Relaxed),
+            inline_served,
+            offloaded,
+            busy_fraction: (busy / (elapsed * workers)).min(1.0),
+        }
     }
 }
 
@@ -170,8 +284,8 @@ struct ConnIo {
     wq: WriteQueue,
     /// Close once the write queue drains (fault truncation).
     close_after_flush: bool,
-    /// Accept-to-first-claim wait, attributed to the first sampled
-    /// request as a `queue-wait` span.
+    /// Accept-to-first-claim wait, handed to the handler until it takes
+    /// it.
     queue_wait: Option<Duration>,
 }
 
@@ -185,7 +299,8 @@ struct Core {
     /// a connection already severed.
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     next_token: AtomicU64,
-    state: Arc<ProxyState>,
+    telemetry: Arc<ServeTelemetry>,
+    handler: Box<Handler>,
 }
 
 impl Core {
@@ -209,25 +324,22 @@ impl Core {
                 queue_wait: None,
             }),
         });
-        self.state.telemetry.enqueued();
-        self.state.reactor.conn_registered();
+        self.telemetry.registered_conn();
         // Into the table before arming: the worker that claims the first
         // event must find the connection.
         self.conns.lock().insert(token, conn);
         if self.epoll.add(fd, token, WANT_READ).is_err()
             && self.conns.lock().remove(&token).is_some()
         {
-            self.state.reactor.conn_closed();
-            self.state.telemetry.enqueue_failed();
+            self.telemetry.closed_conn(false);
+            self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Bookkeeping for a connection that left the table.
     fn retire(&self, conn: &Conn) {
-        self.state.reactor.conn_closed();
-        if !conn.claimed.swap(true, Ordering::Relaxed) {
-            self.state.telemetry.abandoned();
-        }
+        self.telemetry
+            .closed_conn(conn.claimed.swap(true, Ordering::Relaxed));
     }
 
     fn close(&self, conn: &Conn) {
@@ -258,10 +370,7 @@ impl Core {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.state
-                        .counters
-                        .accept_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.accept_errors.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(ACCEPT_BACKOFF);
                 }
             }
@@ -269,7 +378,7 @@ impl Core {
     }
 
     fn worker_loop(&self) {
-        let state = &*self.state;
+        let t = &*self.telemetry;
         let mut events = [EpollEvent::default(); 1];
         let mut scratch = vec![0u8; READ_CHUNK];
         loop {
@@ -289,128 +398,106 @@ impl Core {
                 continue;
             };
             let t_busy = Instant::now();
-            state.telemetry.task_started();
-            state.reactor.ready_events.fetch_add(1, Ordering::Relaxed);
-            let rearmed = serve_ready(&conn, bits, &mut scratch, state).is_some_and(|want| {
-                self.epoll
-                    .modify(conn.stream.as_raw_fd(), token, want)
-                    .is_ok()
-            });
+            raise_peak(&t.busy_peak, t.busy.fetch_add(1, Ordering::Relaxed) + 1);
+            t.ready_events.fetch_add(1, Ordering::Relaxed);
+            let rearmed = self
+                .serve_ready(&conn, bits, &mut scratch)
+                .is_some_and(|want| {
+                    self.epoll
+                        .modify(conn.stream.as_raw_fd(), token, want)
+                        .is_ok()
+                });
             if !rearmed {
                 self.close(&conn);
             }
-            state.telemetry.task_finished();
-            state
-                .reactor
-                .busy_nanos
+            t.busy.fetch_sub(1, Ordering::Relaxed);
+            t.busy_nanos
                 .fetch_add(t_busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
-}
 
-/// Serves one claimed readiness event: flush queued replies, then parse
-/// and serve frames, reading more bytes only when no complete frame is
-/// buffered. Returns the interest to re-arm with, or `None` to close.
-fn serve_ready(conn: &Conn, bits: u32, scratch: &mut [u8], state: &ProxyState) -> Option<u32> {
-    if bits & EV_ERROR != 0 {
-        return None;
-    }
-    let mut io = conn.io.lock();
-    if !conn.claimed.swap(true, Ordering::Relaxed) {
-        let wait = conn.accepted.elapsed();
-        state.telemetry.dequeued(wait);
-        io.queue_wait = Some(wait);
-    }
-    // A short read means the socket was drained: re-arm instead of paying
-    // a read that would only say `EAGAIN`.
-    let mut drained = false;
-    loop {
-        if !io.wq.is_empty() {
-            match io.wq.flush(&mut &conn.stream) {
-                Ok(true) => {}
-                Ok(false) => return Some(WANT_WRITE),
+    /// Serves one claimed readiness event: flush queued replies, then
+    /// parse and serve frames, reading more bytes only when no complete
+    /// frame is buffered. Returns the interest to re-arm with, or `None`
+    /// to close.
+    fn serve_ready(&self, conn: &Conn, bits: u32, scratch: &mut [u8]) -> Option<u32> {
+        if bits & EV_ERROR != 0 {
+            return None;
+        }
+        let mut io = conn.io.lock();
+        if !conn.claimed.swap(true, Ordering::Relaxed) {
+            let wait = conn.accepted.elapsed();
+            self.telemetry.first_service(wait);
+            io.queue_wait = Some(wait);
+        }
+        // A short read means the socket was drained: re-arm instead of
+        // paying a read that would only say `EAGAIN`.
+        let mut drained = false;
+        loop {
+            if !io.wq.is_empty() {
+                match io.wq.flush(&mut &conn.stream) {
+                    Ok(true) => {}
+                    Ok(false) => return Some(WANT_WRITE),
+                    Err(_) => return None,
+                }
+            }
+            if io.close_after_flush {
+                return None;
+            }
+            match io.parser.next_frame() {
+                Ok(Some(msg)) => {
+                    if !self.serve_frame(conn, &mut io, &msg) {
+                        return None;
+                    }
+                    continue;
+                }
+                Ok(None) => {}
+                // Protocol violation: close without a reply.
+                Err(_) => return None,
+            }
+            if drained {
+                return Some(WANT_READ);
+            }
+            match (&conn.stream).read(scratch) {
+                Ok(0) => return None,
+                Ok(n) => {
+                    io.parser.push(&scratch[..n]);
+                    drained = n < scratch.len();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(WANT_READ),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return None,
             }
         }
-        if io.close_after_flush {
-            return None;
-        }
-        match io.parser.next_frame() {
-            Ok(Some(msg)) => {
-                if !serve_frame(conn, &mut io, &msg, state) {
-                    return None;
-                }
-                continue;
-            }
-            Ok(None) => {}
-            // Protocol violation: close without a reply.
-            Err(_) => return None,
-        }
-        if drained {
-            return Some(WANT_READ);
-        }
-        match (&conn.stream).read(scratch) {
-            Ok(0) => return None,
-            Ok(n) => {
-                io.parser.push(&scratch[..n]);
-                drained = n < scratch.len();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(WANT_READ),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
     }
-}
 
-/// One complete request frame: draw the fault decision (one RNG draw per
-/// GET, in arrival order), run `dispatch`, and queue the reply.
-/// `false` = close.
-fn serve_frame(conn: &Conn, io: &mut ConnIo, msg: &Message, state: &ProxyState) -> bool {
-    // One proxy-site fault decision per client-facing GET. The
-    // administrative verbs stay honest so chaos runs can still register
-    // clients and read counters.
-    let fault = match (msg.tokens().first(), state.config.faults.as_deref()) {
-        (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
-        _ => None,
-    };
-    if fault == Some(FaultKind::ProxyDrop) {
-        // Sever before handling: the client sees EOF, redials, and
-        // replays; the request is never counted.
-        return false;
-    }
-    let t_verb = Instant::now();
-    let reply = dispatch(msg, conn.peer_ip, &mut io.queue_wait, state);
-    state
-        .obs
-        .verbs
-        .record(verb_index(msg.tokens().first()), t_verb.elapsed());
-    let Some(reply) = reply else {
-        return true;
-    };
-    if fault.and_then(FaultKind::wire).is_none() {
-        let Ok(head) = encode_head(&reply) else {
-            return false;
-        };
-        io.wq.push_owned(head.into_bytes());
-        io.wq.push_shared(Arc::clone(&reply.body));
-        return true;
-    }
-    let stall = state
-        .config
-        .faults
-        .as_deref()
-        .map(FaultPlan::stall)
-        .unwrap_or_default();
-    let mut sink = QueueWriter {
-        wq: &mut io.wq,
-        stream: &conn.stream,
-    };
-    match write_reply_with_fault(&mut sink, &reply, fault, stall) {
-        Ok(keep) => {
-            io.close_after_flush = !keep;
-            true
+    /// One complete request frame: ask the handler, queue what it
+    /// answers. `false` = close.
+    fn serve_frame(&self, conn: &Conn, io: &mut ConnIo, msg: &Message) -> bool {
+        match (self.handler)(msg, conn.peer_ip, &mut io.queue_wait) {
+            Answer::Close => false,
+            Answer::Reply(reply) => {
+                let Ok(head) = encode_head(&reply) else {
+                    return false;
+                };
+                io.wq.push_owned(head.into_bytes());
+                io.wq.push_shared(reply.body);
+                true
+            }
+            Answer::Faulted(reply, fault, stall) => {
+                let mut sink = QueueWriter {
+                    wq: &mut io.wq,
+                    stream: &conn.stream,
+                };
+                match write_reply_with_fault(&mut sink, &reply, Some(fault), stall) {
+                    Ok(keep) => {
+                        io.close_after_flush = !keep;
+                        true
+                    }
+                    Err(_) => false,
+                }
+            }
         }
-        Err(_) => false,
     }
 }
 
@@ -436,7 +523,8 @@ impl Write for QueueWriter<'_> {
 // The server: acceptor + workers
 // ---------------------------------------------------------------------------
 
-/// The running serving model of one proxy incarnation.
+/// A running server: its acceptor and serving workers. Dropping it shuts
+/// it down.
 pub(crate) struct EpollServer {
     core: Arc<Core>,
     addr: SocketAddr,
@@ -446,15 +534,17 @@ pub(crate) struct EpollServer {
 
 impl EpollServer {
     /// Spawns the acceptor (`{name}`) on `listener` and `workers` serving
-    /// workers (`{name}-worker-N`).
+    /// workers (`{name}-worker-N`) that answer every frame with
+    /// `handler`, recording into `telemetry`.
     pub(crate) fn start(
         name: &str,
         listener: TcpListener,
         workers: usize,
-        state: Arc<ProxyState>,
+        telemetry: Arc<ServeTelemetry>,
+        handler: impl Fn(&Message, IpAddr, &mut Option<Duration>) -> Answer + Send + Sync + 'static,
     ) -> io::Result<EpollServer> {
         let workers = workers.max(1);
-        state.telemetry.set_workers(workers as u64);
+        telemetry.workers.store(workers as u64, Ordering::Relaxed);
         let addr = listener.local_addr()?;
         let core = Arc::new(Core {
             epoll: Epoll::new()?,
@@ -462,7 +552,8 @@ impl EpollServer {
             stop: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(0),
-            state,
+            telemetry,
+            handler: Box::new(handler),
         });
         // Level-triggered: once written at stop, it wakes every waiter in
         // turn.
@@ -489,19 +580,26 @@ impl EpollServer {
         Ok(server)
     }
 
-    /// Severs every open client connection without stopping the server.
-    /// Returns once every socket is shut down, so callers may assert on
-    /// EOF at once.
+    /// The address the server listens on.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Severs every open connection without stopping the server. Returns
+    /// once every socket is shut down, so callers may assert on EOF at
+    /// once.
     pub(crate) fn drop_all(&self) {
         self.core.drop_all();
     }
 
     /// Stops accepting, joins the acceptor and every worker, then closes
-    /// the remaining connections (keep-alive clients see EOF). Workers
+    /// the remaining connections (keep-alive dialers see EOF). Workers
     /// never block on a client socket, so the joins wait at most for the
-    /// miss or fault stall a worker is in.
+    /// miss or fault stall a worker is in. Idempotent.
     pub(crate) fn shutdown(&mut self) {
-        self.core.stop.store(true, Ordering::Release);
+        if self.core.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
         // Unblock the acceptor; it sees the flag and returns.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
@@ -514,6 +612,12 @@ impl EpollServer {
         for conn in std::mem::take(&mut *self.core.conns.lock()).into_values() {
             self.core.retire(&conn);
         }
+    }
+}
+
+impl Drop for EpollServer {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -626,7 +730,48 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{response, status};
+    use crate::protocol::{read_message, response, status, write_message};
+    use std::io::BufReader;
+
+    /// The telemetry a server keeps: worker count, one queue wait per
+    /// connection, busy and queue peaks, registered fds and claimed
+    /// events, all settling back to zero once the server stops.
+    #[test]
+    fn telemetry_tracks_queue_busy_and_waits() {
+        let telemetry = Arc::new(ServeTelemetry::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut server = EpollServer::start(
+            "telemetry-test",
+            listener,
+            2,
+            Arc::clone(&telemetry),
+            |_: &Message, _: IpAddr, _: &mut Option<Duration>| {
+                Answer::Reply(response(status::OK, "OK"))
+            },
+        )
+        .unwrap();
+        for _ in 0..4 {
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            write_message(&mut &stream, &Message::new("PING x/1.0")).unwrap();
+            let reply = read_message(&mut reader).unwrap().unwrap();
+            assert_eq!(reply.start, "BAPS/1.0 200 OK");
+        }
+        let sat = telemetry.saturation();
+        assert_eq!(sat.workers, 2);
+        assert_eq!(sat.rejected, 0);
+        assert_eq!(sat.queue_wait.count(), 4, "one wait per connection");
+        assert!(sat.busy_workers_peak >= 1);
+        assert!(sat.queue_depth_peak >= 1);
+        let r = telemetry.reactor(0, 0);
+        assert!(r.registered_fds_peak >= 1);
+        assert!(r.ready_events >= 4, "{r:?}");
+        server.shutdown();
+        let sat = telemetry.saturation();
+        assert_eq!(sat.queue_depth, 0);
+        assert_eq!(sat.busy_workers, 0);
+        assert_eq!(telemetry.registered(), 0);
+    }
 
     /// Writer that accepts at most `cap` bytes per call and then a
     /// `WouldBlock`, like a full socket send buffer.

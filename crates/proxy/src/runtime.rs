@@ -123,26 +123,17 @@ impl TestBed {
         } else {
             config.proxy_workers
         };
-        // The origin pool must scale alongside: each proxy worker may hold
-        // a pooled keep-alive origin connection, and each of those occupies
-        // an origin worker while open. A fixed-size origin pool deadlocks
-        // fetches behind held-open connections once workers > pool size;
-        // the floor leaves workers for clients that dial the origin
-        // directly.
-        let origin_workers = if config.proxy_workers == 0 {
-            (config.n_clients as usize + 4).max(crate::pool::DEFAULT_WORKERS)
-        } else {
-            config.proxy_workers
-        };
         let recorder = Arc::new(if config.recorder_capacity == 0 {
             FlightRecorder::default()
         } else {
             FlightRecorder::new(config.recorder_capacity)
         });
+        // The origin gets as many workers as the proxy: at most one origin
+        // request per proxy worker is in flight, and the proxy's idle
+        // pooled origin connections hold no origin worker.
         let origin = OriginServer::start_with_recorder(
             store,
-            origin_workers,
-            crate::pool::DEFAULT_BACKLOG,
+            workers,
             config.fault_plan.clone(),
             Some(Arc::clone(&recorder)),
         )?;

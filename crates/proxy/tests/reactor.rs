@@ -4,8 +4,8 @@
 //! resistance, and bounded pipelining.
 
 use baps_proxy::{
-    encode_message, read_message, response_code, write_message, DocumentStore, Message, Source,
-    TestBed, TestBedConfig, IO_MODEL,
+    encode_message, read_message, response_code, write_message, DocumentStore, Message,
+    OriginServer, Source, TestBed, TestBedConfig, IO_MODEL,
 };
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -388,5 +388,155 @@ fn pipelining_client_that_never_reads_is_throttled() {
         "{served} replies served to a client that never reads ({sent} request bytes sent)"
     );
     drop(stream);
+    bed.shutdown();
+}
+
+/// Idle keep-alive connections to the origin cost fds, not workers: with
+/// as many idle connections as the origin has workers, one more client
+/// is still answered at once.
+#[test]
+fn idle_connections_do_not_pin_the_origin() {
+    const IDLE: usize = 8;
+    let origin = OriginServer::start(DocumentStore::synthetic(4, 200, 2_000, 42)).unwrap();
+    let idle: Vec<TcpStream> = (0..IDLE)
+        .map(|_| TcpStream::connect(origin.addr()).unwrap())
+        .collect();
+
+    let stream = TcpStream::connect(origin.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_message(
+        &mut writer,
+        &Message::new("GET http://origin/doc/0 ORIGIN/1.0"),
+    )
+    .unwrap();
+    let reply = read_message(&mut reader)
+        .expect("the origin answers within 2 s")
+        .expect("a reply, not EOF");
+    assert_eq!(response_code(&reply), Some(200));
+    drop(idle);
+    origin.shutdown();
+}
+
+/// Idle connections to a client's peer port do not pin its serving
+/// workers: a fetch the browser index routes to that client is still a
+/// peer hit, not an origin fallback after the probe deadlines expire.
+#[test]
+fn idle_connections_do_not_pin_a_peer_port() {
+    const IDLE: usize = 4;
+    let bed = reactor_bed(
+        3,
+        TestBedConfig {
+            proxy_capacity: 2_500, // one ~2KB doc evicts another
+            browser_capacity: 64 << 10,
+            ..TestBedConfig::default()
+        },
+    );
+    let url0 = "http://origin/doc/0";
+    // Client 0 becomes the only holder of doc/0; client 2's fetches then
+    // evict it from the tiny proxy cache.
+    assert_eq!(bed.clients[0].fetch(url0).unwrap().source, Source::Origin);
+    for i in 1..8 {
+        bed.clients[2]
+            .fetch(&format!("http://origin/doc/{i}"))
+            .unwrap();
+    }
+    let holder = bed.clients[0].peer_addr();
+    let idle: Vec<TcpStream> = (0..IDLE)
+        .map(|_| TcpStream::connect(holder).unwrap())
+        .collect();
+
+    let t = Instant::now();
+    let r = bed.clients[2].fetch(url0).unwrap();
+    assert_eq!(
+        r.source,
+        Source::Peer,
+        "expected a peer hit, got {:?} after {:?}",
+        r.source,
+        t.elapsed()
+    );
+    drop(idle);
+    bed.shutdown();
+}
+
+/// Shutdown of the origin and of a client's peer port returns promptly
+/// while a dialer holds an idle keep-alive connection, and that dialer
+/// then sees EOF.
+#[test]
+fn shutdown_closes_idle_keepalive_connections() {
+    fn hold_idle(addr: std::net::SocketAddr, request: &str) -> BufReader<TcpStream> {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        write_message(&mut writer, &Message::new(request)).unwrap();
+        read_message(&mut reader).unwrap().expect("served once");
+        reader
+    }
+    fn assert_eof(mut reader: BufReader<TcpStream>) {
+        assert!(
+            read_message(&mut reader).unwrap().is_none(),
+            "the idle dialer sees EOF"
+        );
+    }
+
+    let origin = OriginServer::start(DocumentStore::synthetic(1, 200, 2_000, 42)).unwrap();
+    let held = hold_idle(origin.addr(), "GET http://origin/doc/0 ORIGIN/1.0");
+    let t = Instant::now();
+    origin.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "origin: {:?}",
+        t.elapsed()
+    );
+    assert_eof(held);
+
+    let mut bed = reactor_bed(1, TestBedConfig::default());
+    let client = bed.clients.pop().unwrap();
+    let held = hold_idle(client.peer_addr(), "PEERGET http://origin/doc/0 BAPS/1.0");
+    let t = Instant::now();
+    client.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "peer: {:?}",
+        t.elapsed()
+    );
+    assert_eof(held);
+    bed.shutdown();
+}
+
+/// Every request frame gets a reply or a close: requests the proxy
+/// cannot act on are answered `400 Bad Request`, never left hanging.
+#[test]
+fn malformed_requests_are_answered_400() {
+    let bed = reactor_bed(1, TestBedConfig::default());
+    let cases = [
+        Message::new("GET http://origin/doc/0 BAPS/1.0"),
+        Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "x"),
+        Message::new("INVALIDATE http://origin/doc/0 BAPS/1.0"),
+        Message::new("REGISTER notaport BAPS/1.0").header("Client", "0"),
+    ];
+    for request in cases {
+        let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        write_message(&mut writer, &request).unwrap();
+        let reply = read_message(&mut reader)
+            .unwrap_or_else(|e| panic!("no reply to {:?} within 1 s: {e}", request.start))
+            .expect("a reply, not EOF");
+        assert_eq!(response_code(&reply), Some(400), "{}", request.start);
+        // The connection stays usable after the refusal.
+        write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
+        let stats = read_message(&mut reader).unwrap().unwrap();
+        assert_eq!(response_code(&stats), Some(200));
+    }
     bed.shutdown();
 }

@@ -16,6 +16,14 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== perfbench build + tests"
+# The benchmark is a workspace of its own that builds against this
+# repository's crates by path, so the workspace steps above never compile
+# it. Removing public `baps-proxy` API it uses would otherwise only show
+# when the benchmark next runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
 # internally to prove determinism. Also gates the HEALTH SLO engine: the
