@@ -91,10 +91,17 @@ impl ProxySigner {
 
     /// Produces the watermark for a document body.
     pub fn watermark(&self, document: &[u8]) -> Watermark {
+        self.watermark_and_digest(document).0
+    }
+
+    /// Produces the watermark together with the MD5 digest it signs, so a
+    /// caller that also stores the digest hashes the body once.
+    pub fn watermark_and_digest(&self, document: &[u8]) -> (Watermark, Digest) {
         let digest = md5(document);
-        Watermark {
+        let watermark = Watermark {
             signature: sign_digest(&self.keys.private, &digest),
-        }
+        };
+        (watermark, digest)
     }
 }
 
@@ -130,6 +137,16 @@ mod tests {
         let wm = s.watermark(doc);
         let digest = verify_document(&s.public_key(), doc, &wm).unwrap();
         assert_eq!(digest, md5(doc));
+    }
+
+    #[test]
+    fn watermark_and_digest_agree_with_the_separate_calls() {
+        let s = signer();
+        let doc = b"<html>signed once</html>";
+        let (wm, digest) = s.watermark_and_digest(doc);
+        assert_eq!(wm, s.watermark(doc));
+        assert_eq!(digest, md5(doc));
+        assert_eq!(verify_document(&s.public_key(), doc, &wm), Ok(digest));
     }
 
     #[test]

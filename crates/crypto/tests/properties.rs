@@ -12,8 +12,8 @@ proptest! {
     /// Incremental MD5 over arbitrary chunkings equals one-shot MD5.
     #[test]
     fn md5_chunking_invariant(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(0usize..2048, 0..8),
+        data in proptest::collection::vec(any::<u8>(), 0..=4096),
+        splits in proptest::collection::vec(0usize..=4096, 0..8),
     ) {
         let oneshot = md5(&data);
         let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();

@@ -32,7 +32,7 @@
 use crate::protocol::Body;
 use crate::store::CachedDoc;
 use baps_cache::ByteLru;
-use baps_crypto::{md5::md5, verify_document, PublicKey, Watermark};
+use baps_crypto::{md5::md5, verify_document, Digest, PublicKey, Watermark};
 use baps_trace::Interner;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -235,8 +235,8 @@ impl DiskTier {
         // File I/O strictly outside the lock.
         let path = entry_path(&self.root, url);
         match read_verified(&path, url, &self.key) {
-            Ok(doc) => {
-                let digest_hex = md5(&doc.body).to_hex();
+            Ok((doc, digest)) => {
+                let digest_hex = digest.to_hex();
                 let fresh = now_unix() < meta.stored_at.saturating_add(meta.ttl_secs);
                 if fresh {
                     self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -270,6 +270,13 @@ impl DiskTier {
     /// Best-effort: a filesystem error shrinks the tier (counted in
     /// [`DiskStats::io_errors`]) but never fails the request.
     pub fn store(&self, url: &str, doc: &CachedDoc) {
+        self.store_digested(url, doc, md5(&doc.body));
+    }
+
+    /// [`DiskTier::store`] for a caller that already holds the body's MD5
+    /// `digest` (the proxy, which computed it to mint the watermark). A
+    /// wrong digest is caught by read-time verification and self-heals.
+    pub(crate) fn store_digested(&self, url: &str, doc: &CachedDoc, digest: Digest) {
         let size = doc.byte_size();
         let meta = Meta {
             size,
@@ -280,7 +287,7 @@ impl DiskTier {
         // lock. No fsync and no rename: a crash mid-write leaves a file
         // that fails read-time verification and self-heals.
         let path = entry_path(&self.root, url);
-        if fs::write(&path, encode_entry(url, doc, &meta)).is_err() {
+        if fs::write(&path, encode_entry(url, doc, digest, &meta)).is_err() {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             let _ = fs::remove_file(&path);
             return;
@@ -453,7 +460,7 @@ fn now_unix() -> u64 {
 }
 
 /// Serializes one document file: fixed header, then URL, then body.
-fn encode_entry(url: &str, doc: &CachedDoc, meta: &Meta) -> Vec<u8> {
+fn encode_entry(url: &str, doc: &CachedDoc, digest: Digest, meta: &Meta) -> Vec<u8> {
     let url_bytes = url.as_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + url_bytes.len() + doc.body.len());
     out.extend_from_slice(MAGIC);
@@ -461,7 +468,7 @@ fn encode_entry(url: &str, doc: &CachedDoc, meta: &Meta) -> Vec<u8> {
     out.extend_from_slice(&(doc.body.len() as u64).to_le_bytes());
     out.extend_from_slice(&meta.stored_at.to_le_bytes());
     out.extend_from_slice(&meta.ttl_secs.to_le_bytes());
-    out.extend_from_slice(&md5(&doc.body).0);
+    out.extend_from_slice(&digest.0);
     out.extend_from_slice(&doc.watermark.to_bytes());
     out.extend_from_slice(url_bytes);
     out.extend_from_slice(&doc.body);
@@ -514,11 +521,11 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(usize, u64, Meta)> {
     ))
 }
 
-/// Reads and fully verifies one document file. Every failure mode — short
-/// file, wrong magic, URL mismatch (hash collision or renamed file),
-/// digest mismatch, bad watermark signature — comes back as an error so
-/// the caller can self-heal.
-fn read_verified(path: &Path, url: &str, key: &PublicKey) -> io::Result<CachedDoc> {
+/// Reads and fully verifies one document file, returning it with its MD5
+/// digest. Every failure mode — short file, wrong magic, URL mismatch
+/// (hash collision or renamed file), bad watermark signature, stored
+/// digest mismatch — comes back as an error so the caller can self-heal.
+fn read_verified(path: &Path, url: &str, key: &PublicKey) -> io::Result<(CachedDoc, Digest)> {
     let bytes = fs::read(path)?;
     if bytes.len() < HEADER_LEN {
         return Err(bad("file shorter than header"));
@@ -533,17 +540,20 @@ fn read_verified(path: &Path, url: &str, key: &PublicKey) -> io::Result<CachedDo
     if stored_url != url.as_bytes() {
         return Err(bad("stored URL does not match"));
     }
-    let digest: [u8; 16] = header[36..52].try_into().unwrap();
+    let stored_digest = &header[36..52];
     let watermark =
         Watermark::from_bytes(&header[52..84]).map_err(|_| bad("unparseable watermark"))?;
     let body: Body = bytes[HEADER_LEN + url_len..].to_vec().into();
-    if md5(&body).0 != digest {
-        return Err(bad("digest mismatch"));
-    }
     // The watermark signature binds the body to the proxy's key — the
     // same end-to-end check browsers run, applied at the disk boundary.
-    verify_document(key, &body, &watermark).map_err(|_| bad("watermark verification failed"))?;
-    Ok(CachedDoc { body, watermark })
+    // It hashes the body once; the stored digest is checked against that
+    // same hash.
+    let digest = verify_document(key, &body, &watermark)
+        .map_err(|_| bad("watermark verification failed"))?;
+    if digest.0 != stored_digest {
+        return Err(bad("digest mismatch"));
+    }
+    Ok((CachedDoc { body, watermark }, digest))
 }
 
 fn bad(why: &str) -> io::Error {
@@ -705,6 +715,40 @@ mod tests {
         assert!(!path.exists());
         assert_eq!(t.stats().heals, 1);
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Corrupts header bytes `range` of the stored entry for "u" (body
+    /// intact) and checks the load refuses it, deletes the file and counts
+    /// one heal.
+    fn header_field_corruption_self_heals(tag: &str, range: std::ops::Range<usize>) {
+        let sg = signer();
+        let root = temp_root(tag);
+        let t = tier(&root, 1 << 20, Duration::from_secs(3600), sg.public_key());
+        t.store("u", &doc(&sg, b"integrity protected"));
+        let path = entry_path(&root, "u");
+        let mut bytes = fs::read(&path).unwrap();
+        for b in &mut bytes[range] {
+            *b ^= 0xff;
+        }
+        fs::write(&path, &bytes).unwrap();
+        assert!(t.load("u").is_none(), "corrupted {tag} must not serve");
+        assert!(!path.exists());
+        assert_eq!(t.stats().heals, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The watermark still verifies the intact body; only the stored
+    /// digest field disagrees with it.
+    #[test]
+    fn corrupt_stored_digest_self_heals() {
+        header_field_corruption_self_heals("digest-field", 36..52);
+    }
+
+    /// The stored digest still matches the intact body; only the
+    /// watermark field is wrong.
+    #[test]
+    fn corrupt_watermark_field_self_heals() {
+        header_field_corruption_self_heals("watermark-field", 52..84);
     }
 
     #[test]

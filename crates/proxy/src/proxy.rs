@@ -25,7 +25,7 @@ use crate::reactor::{
 };
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
-use baps_crypto::{AnonymizingProxy, PeerId, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{AnonymizingProxy, Digest, PeerId, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -1330,7 +1330,7 @@ fn handle_miss(
                     state.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
                     if state.config.cache_peer_hits {
                         state.cache.insert(doc, url, cached.clone());
-                        write_through_to_disk(state, url, &cached, trace);
+                        write_through_to_disk(state, url, &cached, None, trace);
                     }
                     state.index.on_store(requester, doc);
                     state
@@ -1411,12 +1411,10 @@ fn serve_origin_fetch(
         .counters
         .origin_fetches
         .fetch_add(1, Ordering::Relaxed);
-    let cached = CachedDoc {
-        watermark: state.signer.watermark(&body),
-        body,
-    };
+    let (watermark, digest) = state.signer.watermark_and_digest(&body);
+    let cached = CachedDoc { watermark, body };
     state.cache.insert(doc, url, cached.clone());
-    write_through_to_disk(state, url, &cached, trace);
+    write_through_to_disk(state, url, &cached, Some(digest), trace);
     state.index.on_store(requester, doc);
     state
         .obs
@@ -1457,11 +1455,21 @@ fn serve_from_disk(
 
 /// Best-effort write-through to the disk tier (no-op without one). The
 /// store itself never fails a request; filesystem trouble is counted in
-/// the tier's `io_errors`.
-fn write_through_to_disk(state: &ProxyState, url: &str, cached: &CachedDoc, trace: TraceId) {
+/// the tier's `io_errors`. `digest` is the body's MD5 when the caller
+/// already computed it; otherwise the tier hashes the body.
+fn write_through_to_disk(
+    state: &ProxyState,
+    url: &str,
+    cached: &CachedDoc,
+    digest: Option<Digest>,
+    trace: TraceId,
+) {
     let Some(disk) = &state.disk else { return };
     let t_write = Instant::now();
-    disk.store(url, cached);
+    match digest {
+        Some(digest) => disk.store_digested(url, cached, digest),
+        None => disk.store(url, cached),
+    }
     state.obs.recorder.record(
         trace,
         EventKind::DiskWrite,

@@ -98,4 +98,11 @@ cargo run --release -q -p baps-bench --bin live_load -- \
     --sweep --out target/BENCH_live.ci.json 4000 64 \
     || echo "perf smoke failed (non-gating)"
 
+echo "== md5 kernel throughput (non-gating perf smoke)"
+# Prints MiB/s per input size, up to the 4 MiB heavy-tail body, so a
+# regression in the hash that signs and verifies every body shows in the
+# log. Non-gating for the same noise reason as the sweep above.
+cargo bench -p baps-bench --bench md5 \
+    || echo "md5 bench failed (non-gating)"
+
 echo "CI OK"
