@@ -98,10 +98,15 @@ impl ProxySigner {
     /// caller that also stores the digest hashes the body once.
     pub fn watermark_and_digest(&self, document: &[u8]) -> (Watermark, Digest) {
         let digest = md5(document);
-        let watermark = Watermark {
-            signature: sign_digest(&self.keys.private, &digest),
-        };
-        (watermark, digest)
+        (self.watermark_digest(&digest), digest)
+    }
+
+    /// Signs a digest the caller already computed, for example while it
+    /// was sending the document.
+    pub fn watermark_digest(&self, digest: &Digest) -> Watermark {
+        Watermark {
+            signature: sign_digest(&self.keys.private, digest),
+        }
     }
 }
 
@@ -145,6 +150,7 @@ mod tests {
         let doc = b"<html>signed once</html>";
         let (wm, digest) = s.watermark_and_digest(doc);
         assert_eq!(wm, s.watermark(doc));
+        assert_eq!(wm, s.watermark_digest(&digest));
         assert_eq!(digest, md5(doc));
         assert_eq!(verify_document(&s.public_key(), doc, &wm), Ok(digest));
     }

@@ -17,12 +17,13 @@
 use crate::error::ProxyError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
-    dial_with_deadline, read_message, response, response_code, status, write_message, Body, Message,
+    dial_with_deadline, read_message_digested, response, response_code, status, write_message,
+    Body, Message, ReceiptDigest,
 };
 use crate::proxy::{verb_index, PROXY_VERBS};
 use crate::reactor::{Answer, EpollServer};
 use crate::store::{BodyCache, CachedDoc};
-use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
+use baps_crypto::{md5, verify_digest, CryptoError, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -157,12 +158,17 @@ impl ProxyConn {
     }
 
     /// One request/response exchange on this connection. `Ok(None)` means
-    /// the proxy closed the connection cleanly before replying.
-    fn exchange(&mut self, msg: &Message) -> io::Result<Option<Message>> {
+    /// the proxy closed the connection cleanly before replying. A reply
+    /// that carries a watermark comes with its body's receipt digest.
+    fn exchange(&mut self, msg: &Message) -> io::Result<Option<Received>> {
         write_message(&mut self.writer, msg)?;
-        read_message(&mut self.reader)
+        read_message_digested(&mut self.reader)
     }
 }
+
+/// A proxy reply and, when it carries a watermark, the MD5 of its body
+/// taken as the body arrived.
+type Received = (Message, Option<ReceiptDigest>);
 
 /// A running client agent. Dropping it shuts it down.
 pub struct ClientAgent {
@@ -254,7 +260,7 @@ impl ClientAgent {
                 TcpListener::bind("127.0.0.1:0")?,
                 PEER_WORKERS,
                 Arc::default(),
-                move |msg, _, _| serve_peer(msg, &state),
+                move |msg, _| serve_peer(msg, &state),
             )?
         };
         let agent = ClientAgent {
@@ -533,8 +539,8 @@ impl ClientAgent {
         if bypass {
             req = req.header("Bypass-Peers", "1");
         }
-        let reply = match self.roundtrip(req) {
-            Ok(reply) => reply,
+        let (reply, receipt) = match self.roundtrip_received(req) {
+            Ok(received) => received,
             Err(e) => {
                 // The notices may not have reached the proxy: requeue them
                 // exactly once. The proxy's invalidation handling is
@@ -573,7 +579,7 @@ impl ClientAgent {
                 let doc = self
                     .await_delivery(txn)
                     .ok_or(ProxyError::DeliveryTimeout)?;
-                self.verify_traced(trace, root, url, &doc.body, &doc.watermark)?;
+                self.verify_traced(trace, root, url, &doc.body, &doc.watermark, None)?;
                 let evicted = self.state.cache.lock().insert(url, doc.clone());
                 self.note_stored(url, evicted);
                 return Ok(FetchResult {
@@ -587,7 +593,7 @@ impl ClientAgent {
             .get("X-Watermark")
             .ok_or_else(|| ProxyError::Protocol("missing watermark".into()))
             .and_then(|h| Watermark::from_hex(h).map_err(ProxyError::Integrity))?;
-        self.verify_traced(trace, root, url, &reply.body, &watermark)?;
+        self.verify_traced(trace, root, url, &reply.body, &watermark, receipt)?;
 
         // Cache the verified copy; queue eviction notices for the next
         // request instead of spending a round trip per victim now.
@@ -641,6 +647,11 @@ impl ClientAgent {
 
     /// §6.1 watermark verification wrapped in a `verify` span.
     ///
+    /// `receipt` is the digest of `body` taken as it was read off the
+    /// socket; without one (a direct delivery) the body is hashed here.
+    /// Either way the span's duration is the MD5 time plus the signature
+    /// check.
+    ///
     /// Like the proxy's wait-for-shard span, a routine fast verification
     /// is not worth a ring event on every request; the span is recorded
     /// when the verdict is a mismatch or the check ran slow — the two
@@ -652,12 +663,17 @@ impl ClientAgent {
         url: &str,
         body: &Body,
         watermark: &Watermark,
+        receipt: Option<ReceiptDigest>,
     ) -> Result<(), ProxyError> {
         const SLOW_VERIFY: Duration = Duration::from_micros(250);
         let t_verify = Instant::now();
-        let verdict = verify_document(&self.proxy_key, body, watermark);
-        let verify_time = t_verify.elapsed();
-        if verdict.is_err() || verify_time > SLOW_VERIFY || !root.is_none() {
+        let (digest, hash_time) = match receipt {
+            Some(r) => (r.digest, r.hash_time),
+            None => (md5(body), Duration::ZERO),
+        };
+        let verified = verify_digest(&self.proxy_key, &digest, &watermark.signature);
+        let verify_time = hash_time + t_verify.elapsed();
+        if !verified || verify_time > SLOW_VERIFY || !root.is_none() {
             let vspan = if root.is_none() {
                 SpanId::NONE
             } else {
@@ -672,13 +688,15 @@ impl ClientAgent {
                 format!(
                     "client={} url={url} outcome={}",
                     self.id,
-                    if verdict.is_ok() { "ok" } else { "MISMATCH" }
+                    if verified { "ok" } else { "MISMATCH" }
                 ),
             );
         }
-        verdict
-            .map(|_| ())
-            .map_err(|_| ProxyError::Integrity(CryptoError::WatermarkMismatch))
+        if verified {
+            Ok(())
+        } else {
+            Err(ProxyError::Integrity(CryptoError::WatermarkMismatch))
+        }
     }
 
     /// Tells the proxy this client no longer caches `url`.
@@ -747,6 +765,11 @@ impl ClientAgent {
     ///
     /// [`drop_connections`]: crate::proxy::ProxyServer::drop_connections
     fn roundtrip(&self, msg: Message) -> Result<Message, ProxyError> {
+        self.roundtrip_received(msg).map(|(reply, _)| reply)
+    }
+
+    /// [`roundtrip`](Self::roundtrip), keeping the reply's receipt digest.
+    fn roundtrip_received(&self, msg: Message) -> Result<Received, ProxyError> {
         let verb = verb_index(msg.tokens().first());
         let t_verb = Instant::now();
         let result = self.roundtrip_inner(&msg);
@@ -779,7 +802,7 @@ impl ClientAgent {
         conn
     }
 
-    fn roundtrip_inner(&self, msg: &Message) -> Result<Message, ProxyError> {
+    fn roundtrip_inner(&self, msg: &Message) -> Result<Received, ProxyError> {
         // EOF before a reply is a transport failure (restart, drop), not a
         // protocol violation — callers may retry it.
         fn hung_up() -> ProxyError {
@@ -817,7 +840,7 @@ impl ClientAgent {
                         Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
                             .header("Client", self.id.to_string());
                     match conn.exchange(&reg)? {
-                        Some(reply) if response_code(&reply) == Some(status::OK) => {}
+                        Some((reply, _)) if response_code(&reply) == Some(status::OK) => {}
                         _ => return Err(hung_up()),
                     }
                 }

@@ -51,8 +51,8 @@ pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
 pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
 pub use protocol::{
-    dial_with_deadline, encode_message, read_message, response_code, write_message, Body,
-    FrameParser, Message,
+    dial_with_deadline, encode_message, encode_trailer, read_message, read_message_digested,
+    response_code, write_message, Body, FrameParser, Message, ReceiptDigest,
 };
 pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
 pub use reactor::{ReactorSnapshot, SaturationSnapshot, ACCEPT_BACKOFF, IO_MODEL};

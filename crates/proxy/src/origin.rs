@@ -67,7 +67,7 @@ impl OriginServer {
                 TcpListener::bind("127.0.0.1:0")?,
                 workers,
                 Arc::default(),
-                move |msg, _, _| serve(msg, &state),
+                move |msg, _| serve(msg, &state),
             )?
         };
         Ok(OriginServer { server, state })

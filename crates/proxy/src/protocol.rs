@@ -55,6 +55,20 @@
 //! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`, `X-Source`
 //! (`proxy` | `peer` | `origin`) and `X-Watermark` (hex, §6.1) headers.
 //!
+//! # Trailer form
+//!
+//! A frame whose head has a `Trailer` header carries a trailer block after
+//! its body: header lines ended by a blank line, like a second head
+//! ([`encode_trailer`]). The decoder appends the trailer fields to the
+//! head's, so `get("X-Watermark")` finds a trailer watermark like a head
+//! one, and head plus trailer together stay under [`MAX_HEAD_BYTES`] and
+//! [`MAX_HEADERS`]. The proxy answers an origin miss of 64 KiB or more this
+//! way: `Trailer: X-Watermark` in the head, the body sent while the proxy
+//! hashes it, and the signed watermark in the trailer. The client hashes
+//! the same bytes as they arrive ([`read_message_digested`]), so the two
+//! MD5 passes of a miss overlap instead of running one after the other.
+//! A reply with no watermark in its head or trailer is still refused.
+//!
 //! # Connection lifecycle (keep-alive)
 //!
 //! Every connection is **persistent**: both sides loop
@@ -74,11 +88,12 @@
 //!
 //! [`ProxyCounters`]: crate::proxy::ProxyCounters
 
+use baps_crypto::{Digest, Md5};
 use baps_obs::{SpanId, TraceId};
-use std::io::{self, BufRead, IoSlice, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum accepted header count (straightforward DoS hygiene).
 pub const MAX_HEADERS: usize = 64;
@@ -87,8 +102,9 @@ pub const MAX_BODY: usize = 64 << 20;
 
 /// A document body as shared immutable bytes. Cloning a `Body` is a
 /// refcount bump, so a cached document travels cache → response frame →
-/// peer → browser cache without ever being copied (the only copy is the
-/// one `read_message` makes off the socket).
+/// peer → browser cache without ever being copied. The only copy is the
+/// one `read_message` makes off the socket, straight into this
+/// allocation.
 pub type Body = Arc<[u8]>;
 
 /// An empty [`Body`].
@@ -269,27 +285,35 @@ pub(crate) fn encode_head(msg: &Message) -> io::Result<String> {
     Ok(head)
 }
 
-/// Cap on the head (start line plus headers) of one frame. A peer that
-/// never ends its head gets `InvalidData` here instead of unbounded
-/// buffering; legitimate heads are a few hundred bytes.
+/// Cap on the head (start line plus headers) of one frame, trailer block
+/// included. A peer that never ends its head gets `InvalidData` here
+/// instead of unbounded buffering; legitimate heads are a few hundred
+/// bytes.
 pub const MAX_HEAD_BYTES: usize = 1 << 20;
 
+#[derive(Clone, Copy)]
 enum ParseState {
+    /// Expecting the start line.
     Start,
+    /// Inside the head's header lines.
     Headers,
     /// Head done; the body is this many bytes.
     Body(usize),
+    /// Body done; inside the trailer block the head announced.
+    Trailer,
+    /// The frame is complete.
+    Done,
 }
 
 /// The frame parser: a resumable, sans-I/O decoder. Feed it raw bytes with
 /// [`push`](Self::push) and pull complete frames with
-/// [`next_frame`](Self::next_frame). The proxy's serving workers feed it from
+/// [`next_frame`](Self::next_frame). The serving workers feed it from
 /// nonblocking sockets; [`read_message`] is a thin blocking loop over it.
 pub struct FrameParser {
     buf: Vec<u8>,
     /// Parse cursor into `buf`; everything before it has been consumed.
     pos: usize,
-    /// Head bytes of the frame in progress consumed so far.
+    /// Head and trailer bytes of the frame in progress consumed so far.
     head_bytes: usize,
     /// Bytes after `pos` already searched for a line end, so a head that
     /// dribbles in is scanned once, not once per push.
@@ -297,6 +321,8 @@ pub struct FrameParser {
     state: ParseState,
     start: String,
     headers: Vec<(String, String)>,
+    /// The body of the frame in progress, once it is complete.
+    body: Option<Body>,
 }
 
 impl Default for FrameParser {
@@ -316,6 +342,7 @@ impl FrameParser {
             state: ParseState::Start,
             start: String::new(),
             headers: Vec::new(),
+            body: None,
         }
     }
 
@@ -339,14 +366,20 @@ impl FrameParser {
     /// Returns the next complete frame, `Ok(None)` if more bytes are
     /// needed, or `InvalidData` for a malformed or oversized frame.
     pub fn next_frame(&mut self) -> io::Result<Option<Message>> {
-        let Some(len) = self.parse_head()? else {
-            return Ok(None);
-        };
-        if self.buf.len() - self.pos < len {
-            return Ok(None);
+        loop {
+            match self.parse_lines()? {
+                ParseState::Body(len) => {
+                    if self.buf.len() - self.pos < len {
+                        return Ok(None);
+                    }
+                    let body: Body = Arc::from(&self.buf[self.pos..self.pos + len]);
+                    self.pos += len;
+                    self.body_received(body);
+                }
+                ParseState::Done => break,
+                _ => return Ok(None),
+            }
         }
-        let body: Body = Arc::from(&self.buf[self.pos..self.pos + len]);
-        self.pos += len;
         if self.pos == self.buf.len() {
             self.pos = 0;
             self.buf.clear();
@@ -355,43 +388,65 @@ impl FrameParser {
                 self.buf = Vec::new();
             }
         }
-        Ok(Some(self.finish(body)))
+        Ok(Some(self.finish()))
     }
 
-    /// Advances through the head; `Some(body_len)` once it is complete.
-    fn parse_head(&mut self) -> io::Result<Option<usize>> {
+    /// Consumes complete head or trailer lines and returns the state
+    /// reached: `Body` once the head is complete, `Done` once the frame
+    /// is, any other state when more bytes are needed.
+    fn parse_lines(&mut self) -> io::Result<ParseState> {
         loop {
-            let at_start = match self.state {
-                ParseState::Body(len) => return Ok(Some(len)),
-                ParseState::Start => true,
-                ParseState::Headers => false,
-            };
+            let state = self.state;
+            if matches!(state, ParseState::Body(_) | ParseState::Done) {
+                return Ok(state);
+            }
             let Some(end) = self.next_line()? else {
-                return Ok(None);
+                return Ok(state);
             };
             let line = std::str::from_utf8(&self.buf[self.pos..end])
                 .map_err(|_| invalid("stream did not contain valid UTF-8"))?
                 .trim_end();
-            if at_start {
-                if line.is_empty() {
-                    return Err(invalid("empty start line"));
+            match state {
+                ParseState::Start => {
+                    if line.is_empty() {
+                        return Err(invalid("empty start line"));
+                    }
+                    self.start = line.to_owned();
+                    self.state = ParseState::Headers;
                 }
-                self.start = line.to_owned();
-                self.state = ParseState::Headers;
-            } else if line.is_empty() {
-                self.state = ParseState::Body(content_length(&self.headers)?);
-            } else {
-                if self.headers.len() >= MAX_HEADERS {
-                    return Err(invalid("too many headers"));
+                ParseState::Headers if line.is_empty() => {
+                    self.state = ParseState::Body(content_length(&self.headers)?);
                 }
-                let (name, value) = line
-                    .split_once(':')
-                    .ok_or_else(|| invalid(&format!("bad header: {line}")))?;
-                self.headers
-                    .push((name.trim().to_owned(), value.trim().to_owned()));
+                ParseState::Trailer if line.is_empty() => self.state = ParseState::Done,
+                _ => {
+                    // Trailer fields join the head's and share its caps.
+                    if self.headers.len() >= MAX_HEADERS {
+                        return Err(invalid("too many headers"));
+                    }
+                    let (name, value) = line
+                        .split_once(':')
+                        .ok_or_else(|| invalid(&format!("bad header: {line}")))?;
+                    self.headers
+                        .push((name.trim().to_owned(), value.trim().to_owned()));
+                }
             }
             self.pos = end + 1;
         }
+    }
+
+    /// Records the frame's body; the trailer block follows if the head
+    /// announced one (a `Trailer` header).
+    fn body_received(&mut self, body: Body) {
+        self.body = Some(body);
+        let trailer = self
+            .headers
+            .iter()
+            .any(|(n, _)| n.eq_ignore_ascii_case("Trailer"));
+        self.state = if trailer {
+            ParseState::Trailer
+        } else {
+            ParseState::Done
+        };
     }
 
     /// End (index of the `\n`) of the next buffered head line, or `None`
@@ -413,20 +468,24 @@ impl FrameParser {
         }))
     }
 
-    /// Completes the frame whose head was parsed, resetting for the next.
-    fn finish(&mut self, body: Body) -> Message {
+    /// Hands out the completed frame, resetting for the next.
+    fn finish(&mut self) -> Message {
         self.state = ParseState::Start;
         self.head_bytes = 0;
         Message {
             start: std::mem::take(&mut self.start),
             headers: std::mem::take(&mut self.headers),
-            body,
+            body: self.body.take().unwrap_or_else(empty_body),
         }
     }
 }
 
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
+}
+
+fn eof(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, msg.to_owned())
 }
 
 /// `Content-Length` of a completed head (first case-insensitive match,
@@ -447,39 +506,138 @@ fn content_length(headers: &[(String, String)]) -> io::Result<usize> {
     Ok(len)
 }
 
+/// Whether a head carries a §6.1 watermark, in itself or announced for
+/// its trailer.
+fn carries_watermark(headers: &[(String, String)]) -> bool {
+    headers.iter().any(|(n, v)| {
+        n.eq_ignore_ascii_case("X-Watermark")
+            || (n.eq_ignore_ascii_case("Trailer")
+                && v.split(',')
+                    .any(|f| f.trim().eq_ignore_ascii_case("X-Watermark")))
+    })
+}
+
+/// Serialises a trailer block: the named fields, then the blank line that
+/// ends the frame. It follows a body whose head announced the fields in a
+/// `Trailer` header.
+pub fn encode_trailer(fields: &[(&str, &str)]) -> Vec<u8> {
+    let mut block = String::with_capacity(2 + fields.len() * 80);
+    for (name, value) in fields {
+        block.push_str(name);
+        block.push_str(": ");
+        block.push_str(value);
+        block.push_str("\r\n");
+    }
+    block.push_str("\r\n");
+    block.into_bytes()
+}
+
+/// The MD5 of a frame's body, computed chunk by chunk as the body was
+/// read off the socket, and the time those updates took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReceiptDigest {
+    /// MD5 of exactly the bytes in the returned message's body.
+    pub digest: Digest,
+    /// Time spent hashing during receipt.
+    pub hash_time: Duration,
+}
+
 /// Reads one message; returns `None` on a cleanly closed connection.
 ///
-/// A blocking loop over [`FrameParser`]: the head is fed one line at a
-/// time, so the reader never consumes bytes past the blank line, then the
-/// body arrives in one bulk `read_exact` straight into its allocation.
+/// A blocking loop over [`FrameParser`]: head and trailer lines are fed
+/// one line at a time, so the reader never consumes bytes past the frame,
+/// and the body is read straight into its final [`Body`] allocation.
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
+    Ok(read_frame(r, false)?.map(|(msg, _)| msg))
+}
+
+/// [`read_message`] that also hashes the body on receipt when the frame
+/// carries a watermark (an `X-Watermark` header, or a `Trailer` that
+/// announces one): each chunk is fed to MD5 as it lands, so verifying the
+/// watermark needs no second pass over the body.
+pub fn read_message_digested<R: BufRead>(
+    r: &mut R,
+) -> io::Result<Option<(Message, Option<ReceiptDigest>)>> {
+    read_frame(r, true)
+}
+
+fn read_frame<R: BufRead>(
+    r: &mut R,
+    hash: bool,
+) -> io::Result<Option<(Message, Option<ReceiptDigest>)>> {
     let mut parser = FrameParser::new();
     let len = loop {
-        if let Some(len) = parser.parse_head()? {
+        if let ParseState::Body(len) = parser.parse_lines()? {
             break len;
         }
-        let avail = r.fill_buf()?;
-        if avail.is_empty() {
+        if !feed_line(r, &mut parser)? {
             if parser.is_idle() {
                 return Ok(None);
             }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof inside headers",
-            ));
+            return Err(eof("eof inside headers"));
         }
-        let n = avail
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(avail.len(), |i| i + 1);
-        parser.push(&avail[..n]);
-        r.consume(n);
     };
-    // The one unavoidable copy: socket bytes into a fresh allocation,
-    // immediately frozen into a shared `Body`.
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(Some(parser.finish(body.into())))
+    let mut hasher = (hash && carries_watermark(&parser.headers)).then(Md5::new);
+    let (body, hash_time) = read_body(r, len, hasher.as_mut())?;
+    parser.body_received(body);
+    while !matches!(parser.parse_lines()?, ParseState::Done) {
+        if !feed_line(r, &mut parser)? {
+            return Err(eof("eof inside trailer"));
+        }
+    }
+    let receipt = hasher.map(|h| ReceiptDigest {
+        digest: h.finalize(),
+        hash_time,
+    });
+    Ok(Some((parser.finish(), receipt)))
+}
+
+/// Moves the next line of `r`, or as much of it as is buffered, into
+/// `parser`. `false` at EOF.
+fn feed_line<R: BufRead>(r: &mut R, parser: &mut FrameParser) -> io::Result<bool> {
+    let avail = r.fill_buf()?;
+    if avail.is_empty() {
+        return Ok(false);
+    }
+    let n = avail
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(avail.len(), |i| i + 1);
+    parser.push(&avail[..n]);
+    r.consume(n);
+    Ok(true)
+}
+
+/// Reads a `len`-byte body into its final allocation, feeding each chunk
+/// to `hasher` as it lands. Returns the body and the time spent hashing.
+fn read_body<R: Read>(
+    r: &mut R,
+    len: usize,
+    mut hasher: Option<&mut Md5>,
+) -> io::Result<(Body, Duration)> {
+    // The one copy: socket bytes straight into the shared allocation. It
+    // is zeroed rather than filled, so a declared but unsent body stays
+    // lazily mapped.
+    // SAFETY: all-zero bytes are a valid `[u8]`.
+    let mut body: Body = unsafe { Arc::<[u8]>::new_zeroed_slice(len).assume_init() };
+    let buf = Arc::get_mut(&mut body).expect("a fresh allocation is unshared");
+    let mut filled = 0;
+    let mut hash_time = Duration::ZERO;
+    while filled < len {
+        let n = match r.read(&mut buf[filled..]) {
+            Ok(0) => return Err(eof("eof inside body")),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if let Some(h) = hasher.as_deref_mut() {
+            let t = Instant::now();
+            h.update(&buf[filled..filled + n]);
+            hash_time += t.elapsed();
+        }
+        filled += n;
+    }
+    Ok((body, hash_time))
 }
 
 /// Response codes used by the protocol.

@@ -17,15 +17,16 @@ use crate::disk::{DiskConfig, DiskStats, DiskTier};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::protocol::{
-    dial_with_deadline, read_message, response, response_code, status, write_message, Body, Message,
+    dial_with_deadline, encode_trailer, read_message, response, response_code, status,
+    write_message, Body, Message,
 };
 use crate::reactor::{
-    Answer, EpollServer, ReactorSnapshot, SaturationSnapshot, ServeTelemetry, DEFAULT_WORKERS,
-    IO_MODEL,
+    Answer, EpollServer, FrameCtx, ReactorSnapshot, SaturationSnapshot, ServeTelemetry,
+    DEFAULT_WORKERS, IO_MODEL,
 };
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
-use baps_crypto::{AnonymizingProxy, Digest, PeerId, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{AnonymizingProxy, Digest, Md5, PeerId, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -35,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -446,7 +447,7 @@ impl ProxyServer {
                 listener.try_clone()?,
                 state.config.worker_threads,
                 Arc::clone(&state.telemetry),
-                move |msg, peer_ip, queue_wait| serve(msg, peer_ip, queue_wait, &state),
+                move |msg, ctx| serve(msg, ctx, &state),
             )?
         };
         Ok(ProxyServer {
@@ -704,12 +705,7 @@ fn load_baseline(root: &std::path::Path) -> ProxyStats {
 /// The serving workers' handler: one proxy-site fault decision per
 /// client-facing GET (drawn in arrival order), then [`dispatch`], timed
 /// into the per-verb histograms.
-fn serve(
-    msg: &Message,
-    peer_ip: IpAddr,
-    queue_wait: &mut Option<Duration>,
-    state: &ProxyState,
-) -> Answer {
+fn serve(msg: &Message, ctx: &mut FrameCtx<'_>, state: &ProxyState) -> Answer {
     // The administrative verbs stay honest so chaos runs can still
     // register clients and read counters.
     let faults = state.config.faults.as_deref();
@@ -723,21 +719,28 @@ fn serve(
         return Answer::Close;
     }
     let t_verb = Instant::now();
-    let reply = dispatch(msg, peer_ip, queue_wait, state);
+    // A reply that draws a fault keeps the head form, so its wire effect
+    // applies to one whole frame.
+    let reply = dispatch(msg, ctx, fault.is_none(), state);
     state
         .obs
         .verbs
         .record(verb_index(msg.tokens().first()), t_verb.elapsed());
+    if ctx.reply_started() {
+        return Answer::Streamed;
+    }
     Answer::with_fault(reply, fault, faults)
 }
 
 /// Answers one request. A request the proxy cannot act on (unknown verb,
 /// missing or malformed `Client` header or port) is answered `400 Bad
-/// Request`, never left without a reply.
+/// Request`, never left without a reply. With `may_stream`, a GET that
+/// fetches a large body from the origin starts its reply through `ctx`
+/// (see [`serve_origin_fetch`]).
 fn dispatch(
     msg: &Message,
-    peer_ip: IpAddr,
-    queue_wait: &mut Option<Duration>,
+    ctx: &mut FrameCtx<'_>,
+    may_stream: bool,
     state: &ProxyState,
 ) -> Message {
     // The client mints a trace id per logical fetch and stamps every hop;
@@ -746,7 +749,7 @@ fn dispatch(
     // every proxy-side span of this request attaches to.
     let (trace, parent) = msg.trace_context();
     if span::sampled(trace) {
-        if let Some(wait) = queue_wait.take() {
+        if let Some(wait) = ctx.take_queue_wait() {
             state.obs.recorder.record_span(
                 trace,
                 SpanId::mint(),
@@ -772,7 +775,8 @@ fn dispatch(
                 }
             }
             let bypass = msg.get("Bypass-Peers").is_some();
-            handle_get(url, client, bypass, trace, parent, state)
+            let stream = may_stream.then_some(&mut *ctx);
+            handle_get(url, client, bypass, trace, parent, stream, state)
         }
         ["INVALIDATE", url, "BAPS/1.0"] => {
             let Some(client) = client() else {
@@ -794,7 +798,7 @@ fn dispatch(
             state
                 .peers
                 .write()
-                .insert(client, SocketAddr::new(peer_ip, port));
+                .insert(client, SocketAddr::new(ctx.peer_ip(), port));
             response(status::OK, "OK")
         }
         ["STATS", "BAPS/1.0"] => stats_response(state),
@@ -882,6 +886,7 @@ fn handle_get(
     bypass_peers: bool,
     trace: TraceId,
     parent: SpanId,
+    mut stream: Option<&mut FrameCtx<'_>>,
     state: &ProxyState,
 ) -> Message {
     let t_request = Instant::now();
@@ -951,6 +956,7 @@ fn handle_get(
                     bypass_peers,
                     trace,
                     parent,
+                    stream.as_deref_mut(),
                     state,
                     doc,
                     requester,
@@ -1035,6 +1041,7 @@ fn handle_get(
                                 bypass_peers,
                                 trace,
                                 parent,
+                                stream.as_deref_mut(),
                                 state,
                                 doc,
                                 requester,
@@ -1155,7 +1162,9 @@ impl Drop for FlightLeader<'_> {
 
 /// The full miss path (disk → peers → origin), shared by coalescing
 /// leaders and by followers that gave up on coalescing. Returns the reply
-/// plus the outcome a leader broadcasts to its followers.
+/// plus the outcome a leader broadcasts to its followers. `stream` is
+/// where an origin-fetched body may be streamed (see
+/// [`serve_origin_fetch`]).
 #[allow(clippy::too_many_arguments)]
 fn handle_miss(
     url: &str,
@@ -1163,6 +1172,7 @@ fn handle_miss(
     bypass_peers: bool,
     trace: TraceId,
     parent: SpanId,
+    stream: Option<&mut FrameCtx<'_>>,
     state: &ProxyState,
     doc: DocId,
     requester: ClientId,
@@ -1237,8 +1247,9 @@ fn handle_miss(
                     // The document changed at the origin: this is an
                     // origin fetch in every respect, write-through
                     // included.
-                    let (reply, cached) =
-                        serve_origin_fetch(state, requester, doc, url, body, trace, t_request);
+                    let (reply, cached) = serve_origin_fetch(
+                        state, requester, doc, url, body, trace, t_request, stream,
+                    );
                     return (reply, FlightOutcome::Doc(cached));
                 }
                 Revalidation::Gone => {
@@ -1375,7 +1386,7 @@ fn handle_miss(
     match fetched {
         Ok(body) => {
             let (reply, cached) =
-                serve_origin_fetch(state, requester, doc, url, body, trace, t_request);
+                serve_origin_fetch(state, requester, doc, url, body, trace, t_request, stream);
             (reply, FlightOutcome::Doc(cached))
         }
         Err(e) => {
@@ -1394,9 +1405,19 @@ fn handle_miss(
     }
 }
 
+/// Smallest origin-fetched body whose reply is streamed. A smaller one is
+/// hashed first and sent in one write, so its client wakes once.
+const STREAM_MIN_BODY: usize = 64 << 10;
+/// Bytes hashed between two flushes of a streamed reply.
+const HASH_STEP: usize = 256 << 10;
+
 /// Serves an origin-fetched body: mints the watermark, populates both
 /// cache tiers (write-through), updates the index, and counts the fetch.
 /// Also hands back the cached doc so a coalescing leader can broadcast it.
+///
+/// With `stream`, a body of [`STREAM_MIN_BODY`] or more is sent while it
+/// is hashed, with its watermark in a trailer (see [`stream_signed`]); the
+/// returned message is then the same reply in head form, and is not sent.
 #[allow(clippy::too_many_arguments)]
 fn serve_origin_fetch(
     state: &ProxyState,
@@ -1406,12 +1427,16 @@ fn serve_origin_fetch(
     body: Body,
     trace: TraceId,
     t_request: Instant,
+    stream: Option<&mut FrameCtx<'_>>,
 ) -> (Message, CachedDoc) {
     state
         .counters
         .origin_fetches
         .fetch_add(1, Ordering::Relaxed);
-    let (watermark, digest) = state.signer.watermark_and_digest(&body);
+    let (watermark, digest) = match stream {
+        Some(ctx) if body.len() >= STREAM_MIN_BODY => stream_signed(ctx, &state.signer, &body),
+        _ => state.signer.watermark_and_digest(&body),
+    };
     let cached = CachedDoc { watermark, body };
     state.cache.insert(doc, url, cached.clone());
     write_through_to_disk(state, url, &cached, Some(digest), trace);
@@ -1421,6 +1446,30 @@ fn serve_origin_fetch(
         .tiers
         .record_traced(Tier::Origin.index(), t_request.elapsed(), trace);
     (ok_response("origin", &cached), cached)
+}
+
+/// Sends `body` while hashing it, so the proxy's MD5 pass overlaps the
+/// client's. The head goes out at once with `Trailer: X-Watermark`; the
+/// body is hashed in [`HASH_STEP`] slices with a nonblocking flush after
+/// each; the signed watermark follows in the trailer. Whatever the socket
+/// has not taken by then leaves through the worker's `EV_WRITE` path.
+fn stream_signed(ctx: &mut FrameCtx<'_>, signer: &ProxySigner, body: &Body) -> (Watermark, Digest) {
+    let head = response(status::OK, "OK")
+        .header("X-Source", "origin")
+        .header("Trailer", "X-Watermark")
+        .with_body(Arc::clone(body));
+    ctx.start_reply(&head)
+        .expect("a reply head without Content-Length encodes");
+    let mut md5 = Md5::new();
+    for step in body.chunks(HASH_STEP) {
+        md5.update(step);
+        ctx.flush();
+    }
+    let digest = md5.finalize();
+    let watermark = signer.watermark_digest(&digest);
+    ctx.push(encode_trailer(&[("X-Watermark", &watermark.to_hex())]));
+    ctx.flush();
+    (watermark, digest)
 }
 
 /// Serves a verified disk-tier document: counts the hit, promotes the

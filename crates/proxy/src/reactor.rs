@@ -23,10 +23,18 @@
 //!   buffer, not a thread.
 //!
 //! The handler is the only thing a server brings. It answers each request
-//! frame with an [`Answer`]: a reply, a reply distorted by a wire fault, or
-//! a close. Every frame gets one of the three. Wire faults go through
-//! [`write_reply_with_fault`]: a stall sleeps the serving worker mid-frame,
-//! a truncation closes after the half frame flushes.
+//! frame with an [`Answer`]: a reply, a reply distorted by a wire fault, a
+//! reply it already queued itself, or a close. Every frame gets one of the
+//! four. Wire faults go through [`write_reply_with_fault`]: a stall sleeps
+//! the serving worker mid-frame, a truncation closes after the half frame
+//! flushes.
+//!
+//! A handler may also start its reply before it returns, through the
+//! [`FrameCtx`] it is given: it queues a head and a shared body, keeps
+//! working (the proxy hashes the body it is sending), pushes what the
+//! socket takes between steps without blocking, queues the rest and
+//! returns [`Answer::Streamed`]. Whatever is still unsent leaves through
+//! the same `EV_WRITE` path as any other reply.
 
 use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::Mutex;
@@ -78,6 +86,8 @@ pub(crate) enum Answer {
     /// Queue this reply, distorted on the way out by the fault's wire
     /// effect (stall for the given time, truncate, corrupt).
     Faulted(Message, FaultKind, Duration),
+    /// The handler queued the whole reply through its [`FrameCtx`].
+    Streamed,
     /// Close the connection without a reply.
     Close,
 }
@@ -99,10 +109,65 @@ impl Answer {
     }
 }
 
-/// A server's per-frame handler: the request, the address of the peer
-/// that sent it, and the connection's accept-to-first-service wait (the
-/// proxy takes it for the first sampled request's `queue-wait` span).
-type Handler = dyn Fn(&Message, IpAddr, &mut Option<Duration>) -> Answer + Send + Sync;
+/// A server's per-frame handler: the request and its [`FrameCtx`].
+type Handler = dyn Fn(&Message, &mut FrameCtx<'_>) -> Answer + Send + Sync;
+
+/// What a handler gets besides the request frame: the address of the peer
+/// that sent it, the connection's accept-to-first-service wait, and the
+/// connection's write queue, so it can start its reply before returning.
+pub(crate) struct FrameCtx<'a> {
+    peer_ip: IpAddr,
+    queue_wait: &'a mut Option<Duration>,
+    wq: &'a mut WriteQueue,
+    stream: &'a TcpStream,
+    /// The handler started its reply here.
+    started: bool,
+    /// A flush failed: the peer is gone, so later flushes are skipped and
+    /// the worker closes the connection once the handler returns.
+    broken: bool,
+}
+
+impl FrameCtx<'_> {
+    /// The address of the peer that sent the frame.
+    pub(crate) fn peer_ip(&self) -> IpAddr {
+        self.peer_ip
+    }
+
+    /// The connection's accept-to-first-service wait, handed out once (the
+    /// proxy takes it for the first sampled request's `queue-wait` span).
+    pub(crate) fn take_queue_wait(&mut self) -> Option<Duration> {
+        self.queue_wait.take()
+    }
+
+    /// Starts the reply: queues the encoded head of `reply` and its shared
+    /// body, and pushes what the socket takes now. The handler then queues
+    /// the rest with [`push`](Self::push) and returns [`Answer::Streamed`].
+    pub(crate) fn start_reply(&mut self, reply: &Message) -> io::Result<()> {
+        let head = encode_head(reply)?;
+        self.wq.push_owned(head.into_bytes());
+        self.wq.push_shared(Arc::clone(&reply.body));
+        self.started = true;
+        self.flush();
+        Ok(())
+    }
+
+    /// Whether the handler started its reply through this context.
+    pub(crate) fn reply_started(&self) -> bool {
+        self.started
+    }
+
+    /// Queues more bytes of a started reply.
+    pub(crate) fn push(&mut self, bytes: Vec<u8>) {
+        self.wq.push_owned(bytes);
+    }
+
+    /// Pushes what the socket takes now, without blocking.
+    pub(crate) fn flush(&mut self) {
+        if !self.broken {
+            self.broken = self.wq.flush(&mut &*self.stream).is_err();
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -474,8 +539,22 @@ impl Core {
     /// One complete request frame: ask the handler, queue what it
     /// answers. `false` = close.
     fn serve_frame(&self, conn: &Conn, io: &mut ConnIo, msg: &Message) -> bool {
-        match (self.handler)(msg, conn.peer_ip, &mut io.queue_wait) {
+        let mut ctx = FrameCtx {
+            peer_ip: conn.peer_ip,
+            queue_wait: &mut io.queue_wait,
+            wq: &mut io.wq,
+            stream: &conn.stream,
+            started: false,
+            broken: false,
+        };
+        let answer = (self.handler)(msg, &mut ctx);
+        debug_assert_eq!(ctx.started, matches!(answer, Answer::Streamed));
+        if ctx.broken {
+            return false;
+        }
+        match answer {
             Answer::Close => false,
+            Answer::Streamed => true,
             Answer::Reply(reply) => {
                 let Ok(head) = encode_head(&reply) else {
                     return false;
@@ -541,7 +620,7 @@ impl EpollServer {
         listener: TcpListener,
         workers: usize,
         telemetry: Arc<ServeTelemetry>,
-        handler: impl Fn(&Message, IpAddr, &mut Option<Duration>) -> Answer + Send + Sync + 'static,
+        handler: impl Fn(&Message, &mut FrameCtx<'_>) -> Answer + Send + Sync + 'static,
     ) -> io::Result<EpollServer> {
         let workers = workers.max(1);
         telemetry.workers.store(workers as u64, Ordering::Relaxed);
@@ -745,9 +824,7 @@ mod tests {
             listener,
             2,
             Arc::clone(&telemetry),
-            |_: &Message, _: IpAddr, _: &mut Option<Duration>| {
-                Answer::Reply(response(status::OK, "OK"))
-            },
+            |_: &Message, _: &mut FrameCtx<'_>| Answer::Reply(response(status::OK, "OK")),
         )
         .unwrap();
         for _ in 0..4 {

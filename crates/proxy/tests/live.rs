@@ -1110,3 +1110,229 @@ fn stats_reports_recorder_drops_and_saturation() {
     assert_eq!(reply.get("Queue-Rejected"), Some("0"));
     bed.shutdown();
 }
+
+/// Body of `http://origin/big/<i>`: 1.5 MiB of scrambled bytes.
+fn big_body(i: usize) -> Vec<u8> {
+    (0..3 << 19)
+        .map(|j: usize| (j.wrapping_mul(2_654_435_761) >> 13) as u8 ^ i as u8)
+        .collect()
+}
+
+/// A deployment whose origin holds `n` documents of [`big_body`] and whose
+/// proxy cache holds them all (4 MiB a shard), so a repeat GET is a
+/// memory hit.
+fn big_doc_bed(n: usize, fault_plan: Option<std::sync::Arc<baps_proxy::FaultPlan>>) -> TestBed {
+    let mut store = DocumentStore::new();
+    for i in 0..n {
+        store.insert(format!("http://origin/big/{i}"), big_body(i));
+    }
+    TestBed::start(
+        store,
+        TestBedConfig {
+            n_clients: 1,
+            proxy_capacity: 64 << 20,
+            browser_capacity: 4 << 20,
+            fault_plan,
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts")
+}
+
+/// Reads head or trailer lines up to the blank line that ends the block.
+fn read_block(reader: &mut impl std::io::BufRead) -> Vec<(String, String)> {
+    let mut fields = Vec::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let line = line.trim_end();
+        if line.is_empty() {
+            return fields;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            fields.push((name.trim().to_owned(), value.trim().to_owned()));
+        }
+    }
+}
+
+fn field<'a>(fields: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    fields
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// An origin miss for a large body is streamed. On the wire the
+/// head announces `Trailer: X-Watermark` and carries no watermark, the
+/// body arrives byte for byte, and the trailer's watermark verifies under
+/// the proxy's public key over the MD5 of that body. The repeat GET, a
+/// memory hit, carries the same watermark in its head.
+#[test]
+fn streamed_origin_miss_carries_its_watermark_in_a_trailer() {
+    use baps_crypto::{verify_document, Watermark};
+    use baps_proxy::{read_message, write_message, Message};
+    use std::io::{BufReader, Read};
+    use std::net::TcpStream;
+
+    let bed = big_doc_bed(2, None);
+    let url = "http://origin/big/1";
+    let expected = big_body(1);
+
+    let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let get = Message::new(format!("GET {url} BAPS/1.0")).header("Client", "7");
+    write_message(&mut &stream, &get).unwrap();
+
+    let mut status = String::new();
+    std::io::BufRead::read_line(&mut reader, &mut status).unwrap();
+    assert_eq!(status.trim_end(), "BAPS/1.0 200 OK");
+    let head = read_block(&mut reader);
+    assert_eq!(field(&head, "Trailer"), Some("X-Watermark"), "{head:?}");
+    assert_eq!(field(&head, "X-Source"), Some("origin"));
+    assert_eq!(
+        field(&head, "X-Watermark"),
+        None,
+        "watermark is not in the head"
+    );
+    let len: usize = field(&head, "Content-Length").unwrap().parse().unwrap();
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).unwrap();
+    assert!(
+        body == expected[..],
+        "streamed body differs from the origin's"
+    );
+    let trailer = read_block(&mut reader);
+    let watermark = Watermark::from_hex(field(&trailer, "X-Watermark").expect("trailer field"))
+        .expect("well-formed watermark");
+    verify_document(&bed.proxy.public_key(), &body, &watermark)
+        .expect("trailer watermark verifies over md5(body)");
+
+    write_message(&mut &stream, &get).unwrap();
+    let hit = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(hit.get("X-Source"), Some("proxy"));
+    assert_eq!(hit.get("Trailer"), None, "a memory hit is head-form");
+    assert_eq!(hit.get("X-Watermark"), Some(watermark.to_hex().as_str()));
+    assert!(hit.body[..] == expected[..]);
+
+    // The client agent reads the streamed form too, and verifies it.
+    let fetched = bed.clients[0].fetch("http://origin/big/0").unwrap();
+    assert_eq!(fetched.source, Source::Origin);
+    assert!(fetched.body[..] == big_body(0)[..]);
+    bed.shutdown();
+}
+
+/// A GET that draws a proxy fault keeps the head form, so the fault's
+/// wire effect applies to one whole frame exactly as before.
+#[test]
+fn faulted_origin_miss_stays_head_form() {
+    use baps_crypto::{verify_document, Watermark};
+    use baps_proxy::{read_message, write_message, FaultConfig, FaultPlan, Message};
+    use std::io::BufReader;
+    use std::net::TcpStream;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let plan = Arc::new(FaultPlan::new(
+        3,
+        FaultConfig {
+            p_proxy_stall: 1.0,
+            stall: Duration::from_millis(20),
+            ..FaultConfig::default()
+        },
+    ));
+    let bed = big_doc_bed(1, Some(Arc::clone(&plan)));
+    let url = "http://origin/big/0";
+    let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    write_message(
+        &mut &stream,
+        &Message::new(format!("GET {url} BAPS/1.0")).header("Client", "7"),
+    )
+    .unwrap();
+    let reply = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(reply.get("X-Source"), Some("origin"));
+    assert_eq!(reply.get("Trailer"), None, "a faulted reply is head-form");
+    let watermark = Watermark::from_hex(reply.get("X-Watermark").unwrap()).unwrap();
+    verify_document(&bed.proxy.public_key(), &reply.body, &watermark).unwrap();
+    assert!(reply.body[..] == big_body(0)[..]);
+    assert_eq!(plan.counts().get(baps_proxy::FaultKind::ProxyStall), 1);
+    bed.shutdown();
+}
+
+/// A stand-in proxy that answers `REGISTER` and then every `GET` with a
+/// streamed reply whose body has one flipped byte under the trailer
+/// watermark of the intact body. Serves one connection, then returns.
+fn tampering_streamer(
+    signer: baps_crypto::ProxySigner,
+    body: Vec<u8>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    use baps_proxy::{encode_message, encode_trailer, read_message, write_message, Message};
+    use std::io::{BufReader, Write};
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let watermark = signer.watermark(&body).to_hex();
+        let mut flipped = body.clone();
+        flipped[body.len() / 2] ^= 0x01;
+        while let Ok(Some(msg)) = read_message(&mut reader) {
+            if msg.start.starts_with("REGISTER") {
+                write_message(&mut &stream, &Message::new("BAPS/1.0 200 OK")).unwrap();
+                continue;
+            }
+            let head = Message::new("BAPS/1.0 200 OK")
+                .header("X-Source", "origin")
+                .header("Trailer", "X-Watermark")
+                .with_body(flipped.clone());
+            let mut frame = encode_message(&head).unwrap();
+            frame.extend_from_slice(&encode_trailer(&[("X-Watermark", &watermark)]));
+            (&stream).write_all(&frame).unwrap();
+        }
+    });
+    (addr, server)
+}
+
+/// A body with a flipped byte under a valid trailer watermark is rejected
+/// with `ProxyError::Integrity`: the digest taken on receipt is checked,
+/// not trusted. The client's `verify` span still records the mismatch.
+#[test]
+fn tampered_streamed_reply_is_rejected_and_recorded() {
+    use baps_crypto::ProxySigner;
+    use baps_obs::EventKind;
+    use baps_proxy::{ClientAgent, ClientConfig, ProxyError};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(11));
+    let key = signer.public_key();
+    let body: Vec<u8> = (0..300_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+    let (addr, server) = tampering_streamer(signer, body);
+    let agent = ClientAgent::start_with(
+        1,
+        addr,
+        key,
+        ClientConfig {
+            browser_capacity: 1 << 20,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    let result = agent.fetch("http://origin/tampered");
+    let events = agent.recorder().dump();
+    agent.shutdown();
+    server.join().unwrap();
+
+    assert!(
+        matches!(result, Err(ProxyError::Integrity(_))),
+        "tampered streamed body accepted: {result:?}"
+    );
+    let mismatches = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Verify && e.detail.contains("outcome=MISMATCH"))
+        .count();
+    // The first attempt and the bypass refetch both fail the check.
+    assert_eq!(mismatches, 2, "{events:#?}");
+}

@@ -1,11 +1,15 @@
 //! Property-based tests of the wire protocol's one codec: round-trips,
-//! pipelining, split delivery, and robustness against arbitrary
-//! (malformed) byte streams.
+//! pipelining, split delivery, trailer blocks, hashing on receipt, and
+//! robustness against arbitrary (malformed) byte streams.
 
+use baps_crypto::md5;
 use baps_proxy::protocol::{MAX_BODY, MAX_HEADERS, MAX_HEAD_BYTES};
-use baps_proxy::{encode_message, read_message, write_message, FrameParser, Message};
+use baps_proxy::{
+    encode_message, encode_trailer, read_message, read_message_digested, write_message,
+    FrameParser, Message,
+};
 use proptest::prelude::*;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 
 /// Header names: token characters only (no colon / control bytes).
 fn header_name() -> impl Strategy<Value = String> {
@@ -266,4 +270,182 @@ fn malformed_frames_are_refused_by_every_entry_point() {
             "{what} (read_message)"
         );
     }
+}
+
+/// Encodes `msg` as a trailer-form frame: the head announces
+/// `X-Watermark` in a `Trailer` header, and the field follows the body.
+fn trailer_frame(msg: &Message, watermark: &str) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_message(&mut frame, &msg.clone().header("Trailer", "X-Watermark")).unwrap();
+    frame.extend_from_slice(&encode_trailer(&[("X-Watermark", watermark)]));
+    frame
+}
+
+fn watermark_hex() -> impl Strategy<Value = String> {
+    "[0-9a-f]{64}"
+}
+
+/// A reader that hands out at most the next planned number of bytes per
+/// `read`, like a socket that delivers a body in short pieces.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    plan: Vec<usize>,
+    next: usize,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.plan[self.next % self.plan.len()];
+        self.next += 1;
+        let n = step.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+proptest! {
+    /// Trailer-form frames, mixed with head-form ones, decode to the same
+    /// messages through the parser fed whole, the parser fed at random
+    /// byte boundaries, and `read_message`; the trailer field joins the
+    /// headers.
+    #[test]
+    fn trailer_frames_decode_the_same_however_the_bytes_arrive(
+        msgs in proptest::collection::vec((message(), any::<bool>(), watermark_hex()), 1..4),
+        cuts in proptest::collection::vec(0usize..8192, 0..12),
+    ) {
+        let mut stream = Vec::new();
+        for (m, trailer, wm) in &msgs {
+            if *trailer {
+                stream.extend_from_slice(&trailer_frame(m, wm));
+            } else {
+                write_message(&mut stream, m).unwrap();
+            }
+        }
+
+        let mut whole = FrameParser::new();
+        whole.push(&stream);
+        let whole = drain(&mut whole);
+
+        let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        points.sort_unstable();
+        points.push(stream.len());
+        let mut split = FrameParser::new();
+        let mut pieces = Vec::new();
+        let mut prev = 0;
+        for p in points {
+            split.push(&stream[prev..p]);
+            prev = p;
+            pieces.extend(drain(&mut split));
+        }
+        prop_assert!(split.is_idle(), "nothing left over after the last frame");
+
+        let mut reader = BufReader::new(stream.as_slice());
+        let mut blocking = Vec::new();
+        while let Some(m) = read_message(&mut reader).unwrap() {
+            blocking.push(m);
+        }
+
+        prop_assert_eq!(&pieces, &whole);
+        prop_assert_eq!(&blocking, &whole);
+        prop_assert_eq!(whole.len(), msgs.len());
+        for (got, (sent, trailer, wm)) in whole.iter().zip(&msgs) {
+            prop_assert_eq!(&got.start, &sent.start);
+            prop_assert_eq!(&got.body, &sent.body);
+            if *trailer {
+                prop_assert_eq!(got.get("X-Watermark"), Some(wm.as_str()));
+            }
+        }
+    }
+
+    /// A stream that ends inside the trailer block is `UnexpectedEof`,
+    /// never a message without its watermark.
+    #[test]
+    fn truncated_trailer_is_unexpected_eof(
+        msg in message(),
+        wm in watermark_hex(),
+        cut in 1usize..70,
+    ) {
+        let frame = trailer_frame(&msg, &wm);
+        let trailer_len = encode_trailer(&[("X-Watermark", &wm)]).len();
+        let cut = cut.min(trailer_len);
+        let err = read_message(&mut BufReader::new(&frame[..frame.len() - cut]))
+            .expect_err("truncated trailer");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+
+        let mut parser = FrameParser::new();
+        parser.push(&frame[..frame.len() - cut]);
+        prop_assert!(parser.next_frame().unwrap().is_none());
+        prop_assert!(!parser.is_idle(), "EOF here is not a clean close");
+    }
+
+    /// The digest taken on receipt is the MD5 of exactly the body handed
+    /// back, however short the reads that delivered it.
+    #[test]
+    fn receipt_digest_is_md5_of_the_body(
+        body in proptest::collection::vec(any::<u8>(), 0..200_000),
+        plan in proptest::collection::vec(1usize..5000, 1..16),
+        in_trailer in any::<bool>(),
+        wm in watermark_hex(),
+    ) {
+        let msg = Message::new("BAPS/1.0 200 OK").with_body(body.clone());
+        let frame = if in_trailer {
+            trailer_frame(&msg, &wm)
+        } else {
+            encode_message(&msg.header("X-Watermark", wm.clone())).unwrap()
+        };
+        let mut reader = BufReader::with_capacity(
+            64,
+            ShortReads { data: &frame, plan, next: 0 },
+        );
+        let (back, receipt) = read_message_digested(&mut reader).unwrap().expect("frame");
+        prop_assert_eq!(&back.body[..], &body[..]);
+        prop_assert_eq!(back.get("X-Watermark"), Some(wm.as_str()));
+        prop_assert_eq!(receipt.expect("a watermarked frame is hashed").digest, md5(&body));
+    }
+}
+
+/// Frames without a watermark are not hashed on receipt: only a body the
+/// client will verify pays for MD5.
+#[test]
+fn unwatermarked_frames_are_not_hashed() {
+    let mut frame = Vec::new();
+    write_message(
+        &mut frame,
+        &Message::new("BAPS/1.0 200 OK").with_body(b"stats".to_vec()),
+    )
+    .unwrap();
+    let (_, receipt) = read_message_digested(&mut BufReader::new(frame.as_slice()))
+        .unwrap()
+        .unwrap();
+    assert!(receipt.is_none());
+}
+
+/// A trailer block that never ends is refused at the head cap, by the
+/// parser and by `read_message`, like an unterminated head.
+#[test]
+fn oversized_trailer_hits_the_head_cap() {
+    let msg = Message::new("BAPS/1.0 200 OK")
+        .header("Trailer", "X-Watermark")
+        .with_body(b"body".to_vec());
+    let mut frame = encode_message(&msg).unwrap();
+    frame.extend_from_slice(b"X-Watermark: ");
+    frame.resize(frame.len() + MAX_HEAD_BYTES, b'a');
+
+    let mut parser = FrameParser::new();
+    parser.push(&frame);
+    let err = parser.next_frame().expect_err("oversized trailer");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    let err = read_message(&mut BufReader::new(frame.as_slice())).expect_err("oversized trailer");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    // Trailer fields count against the head's header cap too.
+    let mut frame = encode_message(&msg).unwrap();
+    for i in 0..MAX_HEADERS {
+        frame.extend_from_slice(format!("T{i}: v\r\n").as_bytes());
+    }
+    frame.extend_from_slice(b"\r\n");
+    let err = read_message(&mut BufReader::new(frame.as_slice())).expect_err("too many fields");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }

@@ -105,4 +105,11 @@ echo "== md5 kernel throughput (non-gating perf smoke)"
 cargo bench -p baps-bench --bench md5 \
     || echo "md5 bench failed (non-gating)"
 
+echo "== frame decode throughput (non-gating perf smoke)"
+# read_message MiB/s at 1 KiB, 64 KiB and 4 MiB bodies, plain and with the
+# body hashed on receipt (the client's share of the watermark check).
+# Non-gating for the same noise reason as the sweep above.
+cargo bench -p baps-bench --bench protocol \
+    || echo "protocol bench failed (non-gating)"
+
 echo "CI OK"
